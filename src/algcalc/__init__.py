@@ -10,11 +10,10 @@ from .algebroid import (FrameDiffeoData, GeneralizedAlgebroid, Section,
 from .dtensor import (DConnection, DTensorField, IndexSignature, berwald,
                       cov_deriv_along, h_cov_deriv, scalar_tensor,
                       tensor_product, transform_dconnection, v_cov_deriv)
-from .errors import (AntisymmetryViolation, ArityError, ConfigError,
-                     DimensionMismatch, EmptyBox, ExprSyntaxError,
-                     GeometryError, IndexOutOfRange, NonSmoothPoint,
-                     ShapeError, SingularFrame, SingularMetric,
-                     SingularTransition, UnknownIdentifier)
+from .errors import (ArityError, ConfigError, DimensionMismatch, EmptyBox,
+                     ExprSyntaxError, GeometryError, IndexOutOfRange,
+                     NonSmoothPoint, ShapeError, SingularFrame,
+                     SingularMetric, SingularTransition, UnknownIdentifier)
 from .exprlang import parse, parse_field, to_field, to_source
 from .jets import Jet, Point, ScalarField, compose, eval_jet, fd_partial
 from .lagrange import (FundamentalFunction, NormalDConnection, TorsionPair,
@@ -29,7 +28,7 @@ from .nlconn import (ChartFrame, FrameChange, NonlinearConnection,
                      default_chart, delta_action, from_adapted_covector,
                      from_adapted_vector, from_ehresmann, to_adapted_covector,
                      to_adapted_vector, transform_chart, transform_gamma,
-                     vertical_action, zero_connection)
+                     zero_connection)
 from .sampling import (SampleBox, ValidationReport, generate)
 
 __version__ = "0.1.0"

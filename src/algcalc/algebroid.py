@@ -10,6 +10,7 @@ scalar fields over the m + r bundle coordinates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -31,6 +32,13 @@ def _check_grid(name, grid, shape):
         _check_grid(name, item, shape[1:])
 
 
+def _freeze(grid):
+    """A grid given as nested lists, as nested tuples."""
+    if isinstance(grid, (list, tuple)):
+        return tuple(_freeze(item) for item in grid)
+    return grid
+
+
 def _check_x_only(name, fields, m):
     for f in fields:
         if f.deps is None:
@@ -45,6 +53,29 @@ def _flatten(grid):
     else:
         for item in grid:
             yield from _flatten(item)
+
+
+def contract(shape, sums, start, term):
+    """The nested-list grid of ``shape`` (a bare field when ``shape`` is
+    empty) whose entry at index tuple ``i`` is ``start(*i)`` plus
+    ``term(*i, *k)`` for every index tuple ``k`` over the ranges ``sums``.
+
+    Terms are added one at a time in row-major order of ``k``; with no
+    ``sums`` the one term is ``term(*i)``.  The order fixes the field tree,
+    so every value comes out bit for bit as the same sum written as loops.
+    """
+    def entry(i):
+        f = start(*i)
+        for k in itertools.product(*(range(n) for n in sums)):
+            f = f + term(*i, *k)
+        return f
+
+    def build(i):
+        if len(i) == len(shape):
+            return entry(i)
+        return [build(i + (j,)) for j in range(shape[len(i)])]
+
+    return build(())
 
 
 @dataclass(frozen=True)
@@ -65,9 +96,8 @@ class GeneralizedAlgebroid:
         _check_grid("L", self.L, (self.p, self.p, self.p))
         _check_x_only("rho", _flatten(self.rho), self.m)
         _check_x_only("L", _flatten(self.L), self.m)
-        object.__setattr__(self, "rho", tuple(tuple(row) for row in self.rho))
-        object.__setattr__(self, "L", tuple(
-            tuple(tuple(row) for row in plane) for plane in self.L))
+        object.__setattr__(self, "rho", _freeze(self.rho))
+        object.__setattr__(self, "L", _freeze(self.L))
 
     def zero_field(self):
         return ScalarField.const(self.m, self.r, 0.0)
@@ -137,10 +167,8 @@ def bracket(A: GeneralizedAlgebroid, X1: Section, X2: Section) -> Section:
         f = f + anchor_action(A, X1, X2.z[gamma])
         f = f - anchor_action(A, X2, X1.z[gamma])
         z.append(f)
-    y = []
-    for b in range(A.r):
-        f = anchor_action(A, X1, X2.y[b]) - anchor_action(A, X2, X1.y[b])
-        y.append(f)
+    y = [anchor_action(A, X1, X2.y[b]) - anchor_action(A, X2, X1.y[b])
+         for b in range(A.r)]
     return Section(tuple(z), tuple(y))
 
 
@@ -159,9 +187,8 @@ def validate_structure(A: GeneralizedAlgebroid, samples: Sequence[Point],
     for alpha in range(A.p):
         for beta in range(alpha + 1, A.p):
             for k in range(A.m):
-                lhs = A.zero_field()
-                for gamma in range(A.p):
-                    lhs = lhs + A.L[gamma][alpha][beta] * A.rho[k][gamma]
+                lhs = contract((), (A.p,), A.zero_field, lambda g:
+                               A.L[g][alpha][beta] * A.rho[k][g])
                 rhs = A.zero_field()
                 for i in range(A.m):
                     rhs = rhs + A.rho[i][alpha] * A.rho[k][beta].partial(i)
@@ -174,7 +201,8 @@ def validate_structure(A: GeneralizedAlgebroid, samples: Sequence[Point],
 
 def jacobi_residual(A: GeneralizedAlgebroid, samples: Sequence[Point],
                     triple=None):
-    """Max norm over samples of the cyclic bracket sum.
+    """Max norm over samples of the cyclic bracket sum, as (max, argmax
+    point).
 
     With ``triple`` None, sweeps every triple of constant basis sections.
     """
@@ -184,19 +212,11 @@ def jacobi_residual(A: GeneralizedAlgebroid, samples: Sequence[Point],
         triples = [(a, b, c) for a in basis for b in basis for c in basis]
     components = []
     for X1, X2, X3 in triples:
-        total = None
-        for first, second, third in ((X1, X2, X3), (X2, X3, X1),
-                                     (X3, X1, X2)):
-            term = bracket(A, bracket(A, first, second), third)
-            if total is None:
-                total = term
-            else:
-                total = Section(
-                    tuple(u + v for u, v in zip(total.z, term.z)),
-                    tuple(u + v for u, v in zip(total.y, term.y)))
-        components.extend(total.components())
-    value, _ = fields_sweep_max(components, samples)
-    return value
+        cyclic = [bracket(A, bracket(A, first, second), third).components()
+                  for first, second, third in ((X1, X2, X3), (X2, X3, X1),
+                                               (X3, X1, X2))]
+        components.extend(u + v + w for u, v, w in zip(*cyclic))
+    return fields_sweep_max(components, samples)
 
 
 @dataclass(frozen=True)
@@ -214,10 +234,8 @@ class FrameDiffeoData:
         _check_grid("theta_inv", self.theta_inv, (self.m, self.m))
         _check_x_only("theta", _flatten(self.theta), self.m)
         _check_x_only("theta_inv", _flatten(self.theta_inv), self.m)
-        object.__setattr__(self, "theta",
-                           tuple(tuple(row) for row in self.theta))
-        object.__setattr__(self, "theta_inv",
-                           tuple(tuple(row) for row in self.theta_inv))
+        object.__setattr__(self, "theta", _freeze(self.theta))
+        object.__setattr__(self, "theta_inv", _freeze(self.theta_inv))
 
     def check_invertible(self, points: Sequence[Point], tol: float = 1e-8):
         """Verify theta_inv is the pointwise inverse of theta at ``points``."""
@@ -235,21 +253,13 @@ def from_frame(frame: FrameDiffeoData) -> GeneralizedAlgebroid:
     """Structure functions of the frame: commutators of the frame fields
     expanded back in the frame.  The anchor is the frame itself (p = m)."""
     m, r = frame.m, frame.r
-    L = []
-    for gamma in range(m):
-        plane = []
-        for alpha in range(m):
-            row = []
-            for beta in range(m):
-                f = ScalarField.const(m, r, 0.0)
-                for i in range(m):
-                    for j in range(m):
-                        comm = (frame.theta[i][alpha]
-                                * frame.theta[j][beta].partial(i)
-                                - frame.theta[i][beta]
-                                * frame.theta[j][alpha].partial(i))
-                        f = f + comm * frame.theta_inv[gamma][j]
-                row.append(f)
-            plane.append(row)
-        L.append(plane)
+    theta, theta_inv = frame.theta, frame.theta_inv
+
+    def term(gamma, alpha, beta, i, j):
+        comm = (theta[i][alpha] * theta[j][beta].partial(i)
+                - theta[i][beta] * theta[j][alpha].partial(i))
+        return comm * theta_inv[gamma][j]
+
+    L = contract((m, m, m), (m, m), lambda *_: ScalarField.const(m, r, 0.0),
+                 term)
     return GeneralizedAlgebroid(m=m, p=m, r=r, rho=frame.theta, L=L)

@@ -5,8 +5,8 @@
 Commands: check-structure, connection <kind>, metrizability, finsler-check,
 transform-check, report.  Geometry is described by a JSON configuration
 (see docs/config-schema.md); results are emitted as a JSON report with
-floats serialized to 17 significant digits, byte-identical across runs and
-thread counts.  Exit codes: 0 all checks passed, 1 a check failed, 2 the
+floats serialized to 17 significant digits, byte-identical across runs.
+Exit codes: 0 all checks passed, 1 a check failed, 2 the
 configuration or invocation was invalid.
 """
 
@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import dtensor, lagrange
-from .algebroid import (FrameDiffeoData, GeneralizedAlgebroid, from_frame,
-                        jacobi_residual, validate_structure)
-from .dtensor import DConnection, berwald
+from .algebroid import (FrameDiffeoData, GeneralizedAlgebroid, _flatten,
+                        from_frame, jacobi_residual, validate_structure)
+from .dtensor import DConnection, berwald, fiber_derivatives
 from .errors import ConfigError, GeometryError, ShapeError
 from .exprlang import parse_field
 from .jets import Point, ScalarField
@@ -44,6 +44,9 @@ CONNECTION_KINDS = ("berwald", "canonical", "obata", "base-deform",
 
 # -- deterministic JSON output ---------------------------------------------
 
+# JSON has no literal for these; they are written as strings
+_NON_FINITE = {"nan": '"NaN"', "inf": '"Infinity"', "-inf": '"-Infinity"'}
+
 
 def _dump(obj, indent=0):
     pad = "  " * indent
@@ -57,7 +60,8 @@ def _dump(obj, indent=0):
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return format(obj, ".17g")
+        text = format(obj, ".17g")
+        return _NON_FINITE.get(text, text)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -149,6 +153,12 @@ def _field_grid(value, shape, m, r, where):
             for i, v in enumerate(value)]
 
 
+def _spec_grid(spec, key, shape, m, r, where):
+    """The field grid ``spec[key]``, named ``where.key`` in errors."""
+    return _field_grid(_expect(spec, key, list, where), shape, m, r,
+                       f"{where}.{key}")
+
+
 def _identity_grid(n, m, r):
     return [[ScalarField.const(m, r, 1.0 if i == j else 0.0)
              for j in range(n)] for i in range(n)]
@@ -184,10 +194,8 @@ def load_config(source) -> Geometry:
         if m != p:
             raise ConfigError("a frame structure needs m == p")
         spec = structure["frame"]
-        theta = _field_grid(_expect(spec, "theta", list, "frame"),
-                            (m, m), m, r, "frame.theta")
-        theta_inv = _field_grid(_expect(spec, "theta_inv", list, "frame"),
-                                (m, m), m, r, "frame.theta_inv")
+        theta = _spec_grid(spec, "theta", (m, m), m, r, "frame")
+        theta_inv = _spec_grid(spec, "theta_inv", (m, m), m, r, "frame")
         try:
             frame = FrameDiffeoData(m, r, theta, theta_inv)
             A = from_frame(frame)
@@ -239,10 +247,8 @@ def load_config(source) -> Geometry:
         raise ConfigError(
             "give either 'metric' or a fundamental function, not both")
     if metric_spec is not None:
-        gh = _field_grid(_expect(metric_spec, "h", list, "metric"),
-                         (p, p), m, r, "metric.h")
-        gv = _field_grid(_expect(metric_spec, "v", list, "metric"),
-                         (r, r), m, r, "metric.v")
+        gh = _spec_grid(metric_spec, "h", (p, p), m, r, "metric")
+        gv = _spec_grid(metric_spec, "v", (r, r), m, r, "metric")
         try:
             geometry.metric = MetricStructure(
                 A, gh=gh, gv=gv,
@@ -259,9 +265,7 @@ def load_config(source) -> Geometry:
     change_spec = config.get("frame_change")
     if change_spec is not None:
         def grid(key, shape):
-            return _field_grid(_expect(change_spec, key, list,
-                                       "frame_change"),
-                               shape, m, r, f"frame_change.{key}")
+            return _spec_grid(change_spec, key, shape, m, r, "frame_change")
         try:
             geometry.frame_change = FrameChange(
                 m=m, r=r,
@@ -277,23 +281,15 @@ def load_config(source) -> Geometry:
     torsion_spec = config.get("torsions")
     if torsion_spec is not None:
         geometry.torsions = TorsionPair(
-            t=_field_grid(_expect(torsion_spec, "t", list, "torsions"),
-                          (r, r, r), m, r, "torsions.t"),
-            s=_field_grid(_expect(torsion_spec, "s", list, "torsions"),
-                          (r, r, r), m, r, "torsions.s"))
+            t=_spec_grid(torsion_spec, "t", (r, r, r), m, r, "torsions"),
+            s=_spec_grid(torsion_spec, "s", (r, r, r), m, r, "torsions"))
 
     deform_spec = config.get("deform")
     if deform_spec is not None:
         geometry.deform = {
-            "xh": _field_grid(_expect(deform_spec, "xh", list, "deform"),
-                              (p, p, p), m, r, "deform.xh"),
-            "yh": _field_grid(_expect(deform_spec, "yh", list, "deform"),
-                              (r, r, p), m, r, "deform.yh"),
-            "xv": _field_grid(_expect(deform_spec, "xv", list, "deform"),
-                              (p, p, r), m, r, "deform.xv"),
-            "yv": _field_grid(_expect(deform_spec, "yv", list, "deform"),
-                              (r, r, r), m, r, "deform.yv"),
-        }
+            key: _spec_grid(deform_spec, key, shape, m, r, "deform")
+            for key, shape in (("xh", (p, p, p)), ("yh", (r, r, p)),
+                               ("xv", (p, p, r)), ("yv", (r, r, r)))}
 
     sampling_spec = config.get("sampling", {})
     if not isinstance(sampling_spec, dict):
@@ -349,17 +345,11 @@ def _simple_base(C: NonlinearConnection) -> DConnection:
     A = C.algebroid
     if A.p == A.r:
         return berwald(C)
-    dgamma = [[[C.gamma[a][g].partial(A.m + b) for g in range(A.p)]
-               for b in range(A.r)] for a in range(A.r)]
     return DConnection(C,
                        hh=dtensor.zero_blocks(A, A.p, A.p, A.p),
-                       hv=dgamma,
+                       hv=fiber_derivatives(C),
                        vh=dtensor.zero_blocks(A, A.p, A.p, A.r),
                        vv=dtensor.zero_blocks(A, A.r, A.r, A.r))
-
-
-def _zero_grid(A, *shape):
-    return dtensor.zero_blocks(A, *shape)
 
 
 def build_connection(geometry: Geometry, kind: str):
@@ -373,10 +363,10 @@ def build_connection(geometry: Geometry, kind: str):
     if kind == "obata":
         G = _require_metric(geometry)
         d = geometry.deform or {
-            "xh": _zero_grid(A, A.p, A.p, A.p),
-            "yh": _zero_grid(A, A.r, A.r, A.p),
-            "xv": _zero_grid(A, A.p, A.p, A.r),
-            "yv": _zero_grid(A, A.r, A.r, A.r)}
+            "xh": dtensor.zero_blocks(A, A.p, A.p, A.p),
+            "yh": dtensor.zero_blocks(A, A.r, A.r, A.p),
+            "xv": dtensor.zero_blocks(A, A.p, A.p, A.r),
+            "yv": dtensor.zero_blocks(A, A.r, A.r, A.r)}
         return obata_deform(G, C, d["xh"], d["yh"], d["xv"], d["yv"])
     if kind == "base-deform":
         return base_deform(_require_metric(geometry), _simple_base(C))
@@ -391,19 +381,10 @@ def build_connection(geometry: Geometry, kind: str):
     raise ConfigError(f"unknown connection kind '{kind}'")
 
 
-def _block_summary(blocks, samples, probes, threads):
+def _block_summary(blocks, samples, probes):
     out = {}
     for name, block in blocks:
-        flat = []
-
-        def walk(grid):
-            if isinstance(grid, ScalarField):
-                flat.append(grid)
-            else:
-                for item in grid:
-                    walk(item)
-        walk(block)
-        value, arg = fields_sweep_max(flat, samples, threads)
+        value, arg = fields_sweep_max(_flatten(block), samples)
         entry = {"max_abs": value,
                  "argmax": None if arg is None else
                  {"x": list(arg.x), "y": list(arg.y)}}
@@ -427,8 +408,8 @@ def cmd_check_structure(geometry: Geometry, options) -> ValidationReport:
     samples = geometry.samples(options.points, options.seed)
     tol = geometry.tol("structure", options.tol)
     report = validate_structure(geometry.algebroid, samples, tol)
-    report.add("jacobi", jacobi_residual(geometry.algebroid, samples),
-               None, tol)
+    value, arg = jacobi_residual(geometry.algebroid, samples)
+    report.add("jacobi", value, arg, tol)
     if geometry.frame is not None:
         geometry.frame.check_invertible(samples, tol)
     return report
@@ -471,21 +452,16 @@ def cmd_transform_check(geometry: Geometry, options) -> ValidationReport:
     back = transform_gamma(primed, F.inverse(), chart1)
     fields = [back.gamma[a][g] - C.gamma[a][g]
               for a in range(A.r) for g in range(A.p)]
-    value, arg = fields_sweep_max(fields, samples, options.threads)
+    value, arg = fields_sweep_max(fields, samples)
     report.add("gamma_round_trip", value, arg, tol)
 
     D = _simple_base(C)
     primed_d = dtensor.transform_dconnection(D, F, chart0)
     back_d = dtensor.transform_dconnection(primed_d, F.inverse(), chart1)
-    fields = []
-    for name, dims in (("hh", (A.p, A.p, A.p)), ("hv", (A.r, A.r, A.p)),
-                       ("vh", (A.p, A.p, A.r)), ("vv", (A.r, A.r, A.r))):
-        for a in range(dims[0]):
-            for b in range(dims[1]):
-                for c in range(dims[2]):
-                    fields.append(getattr(back_d, name)[a][b][c]
-                                  - getattr(D, name)[a][b][c])
-    value, arg = fields_sweep_max(fields, samples, options.threads)
+    fields = [got - given for name in ("hh", "hv", "vh", "vv")
+              for got, given in zip(_flatten(getattr(back_d, name)),
+                                    _flatten(getattr(D, name)))]
+    value, arg = fields_sweep_max(fields, samples)
     report.add("dconnection_round_trip", value, arg, tol)
     return report
 
@@ -499,18 +475,17 @@ def cmd_connection(geometry: Geometry, options):
     else:
         blocks = [("hh", connection.hh), ("hv", connection.hv),
                   ("vh", connection.vh), ("vv", connection.vv)]
-    report.metadata["blocks"] = _block_summary(
-        blocks, samples, geometry.probes, options.threads)
+    report.metadata["blocks"] = _block_summary(blocks, samples,
+                                               geometry.probes)
     if options.kind == "torsion-deform":
         recovered = recover_torsions(connection)
-        fields = []
-        for given, got in ((geometry.torsions.t, recovered.t),
-                           (geometry.torsions.s, recovered.s)):
-            for a in range(geometry.r):
-                for b in range(geometry.r):
-                    for c in range(geometry.r):
-                        fields.append(got[a][b][c] - given[a][b][c])
-        value, arg = fields_sweep_max(fields, samples, options.threads)
+        fields = [got - given
+                  for given_grid, got_grid in (
+                      (geometry.torsions.t, recovered.t),
+                      (geometry.torsions.s, recovered.s))
+                  for got, given in zip(_flatten(got_grid),
+                                        _flatten(given_grid))]
+        value, arg = fields_sweep_max(fields, samples)
         report.add("torsion_round_trip", value, arg,
                    geometry.tol("torsion", options.tol))
     return report
@@ -528,43 +503,21 @@ def cmd_report(geometry: Geometry, options) -> ValidationReport:
     return report
 
 
-@dataclass
-class Options:
-    tol: Optional[float] = None
-    seed: Optional[int] = None
-    points: Optional[int] = None
-    kind: Optional[str] = None
-    threads: int = 1
-
-
-def run(command, config_source, options: Options):
-    """Run a command and return (report_dict, exit_code)."""
-    geometry = load_config(config_source)
-    handlers = {
-        "check-structure": cmd_check_structure,
-        "connection": cmd_connection,
-        "metrizability": cmd_metrizability,
-        "finsler-check": cmd_finsler_check,
-        "transform-check": cmd_transform_check,
-        "report": cmd_report,
-    }
-    report = handlers[command](geometry, options)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command if options.kind is None
-        else f"{command} {options.kind}",
-        "seed": geometry.seed if options.seed is None else options.seed,
-        "points": geometry.count if options.points is None
-        else options.points,
-    }
-    payload.update(report.to_dict())
-    return payload, (0 if report.passed else 1)
+COMMANDS = {
+    "check-structure": cmd_check_structure,
+    "connection": cmd_connection,
+    "metrizability": cmd_metrizability,
+    "finsler-check": cmd_finsler_check,
+    "transform-check": cmd_transform_check,
+    "report": cmd_report,
+}
 
 
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="algcalc",
         description="Checks and constructions for anchored-bundle geometry")
+    parser.set_defaults(kind=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -576,9 +529,11 @@ def _build_parser():
         p.add_argument("--points", type=int, default=None,
                        help="override the sample count")
         p.add_argument("--probe", action="append", default=[],
-                       help="extra probe point, comma-separated coordinates")
+                       help="extra probe point, comma-separated coordinates;"
+                       " write --probe=-0.5,... when the first coordinate"
+                       " is negative")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sample sweeps")
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--dump-samples", action="store_true",
                        help="include the sample list in the report")
         p.add_argument("-o", "--output", default=None,
@@ -596,9 +551,6 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    options = Options(tol=args.tol, seed=args.seed, points=args.points,
-                      kind=getattr(args, "kind", None),
-                      threads=max(1, args.threads))
     try:
         geometry = load_config(args.config)
         for raw in args.probe:
@@ -608,30 +560,21 @@ def main(argv=None):
                     f"--probe needs {geometry.m + geometry.r} coordinates")
             geometry.probes.append(Point(tuple(values[:geometry.m]),
                                          tuple(values[geometry.m:])))
-        handlers = {
-            "check-structure": cmd_check_structure,
-            "connection": cmd_connection,
-            "metrizability": cmd_metrizability,
-            "finsler-check": cmd_finsler_check,
-            "transform-check": cmd_transform_check,
-            "report": cmd_report,
-        }
-        report = handlers[args.command](geometry, options)
+        report = COMMANDS[args.command](geometry, args)
     except (ConfigError, GeometryError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "command": args.command if options.kind is None
-        else f"{args.command} {options.kind}",
-        "seed": geometry.seed if options.seed is None else options.seed,
-        "points": geometry.count if options.points is None
-        else options.points,
+        "command": args.command if args.kind is None
+        else f"{args.command} {args.kind}",
+        "seed": geometry.seed if args.seed is None else args.seed,
+        "points": geometry.count if args.points is None else args.points,
     }
     if args.dump_samples:
         payload["samples"] = [
             {"x": list(pt.x), "y": list(pt.y)}
-            for pt in geometry.samples(options.points, options.seed)]
+            for pt in geometry.samples(args.points, args.seed)]
     payload.update(report.to_dict())
     text = dump_report(payload)
     if args.output:

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .algebroid import GeneralizedAlgebroid, _check_grid
+from .algebroid import GeneralizedAlgebroid, _check_grid, _freeze, contract
 from .errors import DimensionMismatch, IndexOutOfRange, ShapeError
 from .jets import Point, ScalarField
 from .nlconn import ChartFrame, FrameChange, NonlinearConnection, \
@@ -93,10 +93,6 @@ class DTensorField:
     def indices(self):
         return itertools.product(*(range(d) for d in self.dims))
 
-    def at(self, point: Point):
-        coords = list(point.coords())
-        return {idx: float(f(coords)) for idx, f in self.comps.items()}
-
     def fields(self):
         return self.comps.values()
 
@@ -133,18 +129,18 @@ class DConnection:
         _check_grid("vh", self.vh, (A.p, A.p, A.r))
         _check_grid("vv", self.vv, (A.r, A.r, A.r))
         for name in ("hh", "hv", "vh", "vv"):
-            value = getattr(self, name)
-            object.__setattr__(self, name, tuple(
-                tuple(tuple(row) for row in plane) for plane in value))
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def algebroid(self):
         return self.nlconn.algebroid
 
-    def block_at(self, name, point: Point):
-        coords = list(point.coords())
-        return [[[float(f(coords)) for f in row] for row in plane]
-                for plane in getattr(self, name)]
+
+def fiber_derivatives(C: NonlinearConnection):
+    """dgamma[a][b][g]: the fiber partial along y_b of gamma[a][g]."""
+    A = C.algebroid
+    return [[[C.gamma[a][g].partial(A.m + b) for g in range(A.p)]
+             for b in range(A.r)] for a in range(A.r)]
 
 
 def zero_blocks(A: GeneralizedAlgebroid, *shape):
@@ -166,8 +162,7 @@ def berwald(C: NonlinearConnection) -> DConnection:
     if A.p != A.r:
         raise DimensionMismatch(
             "the fiber-derivative connection needs p = r")
-    dgamma = [[[C.gamma[a][g].partial(A.m + b) for g in range(A.p)]
-               for b in range(A.r)] for a in range(A.r)]
+    dgamma = fiber_derivatives(C)
     return DConnection(C, hh=dgamma, hv=dgamma,
                        vh=zero_blocks(A, A.p, A.p, A.r),
                        vv=zero_blocks(A, A.r, A.r, A.r))
@@ -234,15 +229,14 @@ def cov_deriv_along(D: DConnection, X, T: DTensorField) -> DTensorField:
     A = D.algebroid
     hd = _cov_deriv(D, T, vertical=False)
     vd = _cov_deriv(D, T, vertical=True)
-    comps = {}
-    for idx in T.indices():
-        f = A.zero_field()
-        for g in range(A.p):
-            f = f + X.z[g] * hd[idx + (g,)]
-        for c in range(A.r):
-            f = f + X.y[c] * vd[idx + (c,)]
-        comps[idx] = f
-    return DTensorField(A, T.sig, comps)
+
+    def along(idx):
+        f = contract((), (A.p,), A.zero_field,
+                     lambda g: X.z[g] * hd[idx + (g,)])
+        return contract((), (A.r,), lambda: f,
+                        lambda c: X.y[c] * vd[idx + (c,)])
+
+    return DTensorField(A, T.sig, {idx: along(idx) for idx in T.indices()})
 
 
 def transform_dconnection(D: DConnection, F: FrameChange,
@@ -263,55 +257,32 @@ def transform_dconnection(D: DConnection, F: FrameChange,
     def delta(g, f):
         # adapted horizontal action; transition entries are x-only, so the
         # vertical (connection) part of the action vanishes on them
-        out = zero
-        for k in range(m):
-            out = out + chart.anchor[k][g] * chart.ddx[k](f)
-        return out
+        return contract((), (m,), lambda: zero,
+                        lambda k: chart.anchor[k][g] * chart.ddx[k](f))
 
     def h_rule(block, trans, trans_inv, dim):
         # block'^{a'}_{b' g'} =
         #   trans^{a'}_a [ delta_g(trans_inv^a_{b'})
         #                  + block^a_{b g} trans_inv^b_{b'} ] lam_inv^g_{g'}
-        out = []
-        for ap in range(dim):
-            plane = []
-            for bp in range(dim):
-                row = []
-                for gp in range(p):
-                    f = zero
-                    for g in range(p):
-                        bracket = zero
-                        for a in range(dim):
-                            inner = delta(g, trans_inv[a][bp])
-                            for b in range(dim):
-                                inner = inner + block[a][b][g] \
-                                    * trans_inv[b][bp]
-                            bracket = bracket + trans[ap][a] * inner
-                        f = f + bracket * F.lam_inv[g][gp]
-                    row.append(f)
-                plane.append(row)
-            out.append(plane)
-        return out
+        def inner(g, a, bp):
+            return contract((), (dim,), lambda: delta(g, trans_inv[a][bp]),
+                            lambda b: block[a][b][g] * trans_inv[b][bp])
+
+        def bracket(ap, bp, g):
+            return contract((), (dim,), lambda: zero,
+                            lambda a: trans[ap][a] * inner(g, a, bp))
+
+        return contract((dim, dim, p), (p,), lambda *_: zero,
+                        lambda ap, bp, gp, g:
+                        bracket(ap, bp, g) * F.lam_inv[g][gp])
 
     def v_rule(block, trans, trans_inv, dim):
         # purely tensorial: upper index with trans, lower with trans_inv,
         # derivative index with mmat_inv
-        out = []
-        for ap in range(dim):
-            plane = []
-            for bp in range(dim):
-                row = []
-                for cp in range(r):
-                    f = zero
-                    for a in range(dim):
-                        for b in range(dim):
-                            for c in range(r):
-                                f = f + trans[ap][a] * block[a][b][c] \
-                                    * trans_inv[b][bp] * F.mmat_inv[c][cp]
-                    row.append(f)
-                plane.append(row)
-            out.append(plane)
-        return out
+        return contract((dim, dim, r), (dim, dim, r), lambda *_: zero,
+                        lambda ap, bp, cp, a, b, c:
+                        trans[ap][a] * block[a][b][c] * trans_inv[b][bp]
+                        * F.mmat_inv[c][cp])
 
     hh = h_rule(D.hh, F.lam, F.lam_inv, p)
     hv = h_rule(D.hv, F.mmat, F.mmat_inv, r)

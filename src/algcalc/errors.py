@@ -56,10 +56,6 @@ class SingularMetric(GeometryError):
     """A metric block (or Hessian) is singular at a sample point."""
 
 
-class AntisymmetryViolation(GeometryError):
-    """Structure functions fail antisymmetry beyond tolerance."""
-
-
 class EmptyBox(GeometryError):
     """Sampling box cannot produce points satisfying the constraints."""
 

@@ -108,12 +108,23 @@ def _tokenize(source):
     return tokens
 
 
+# Deepest syntax tree ``parse`` accepts.  Parsing takes up to eight Python
+# frames per nested level and ``evaluate`` one, on top of the field
+# evaluation stack, so both stay well inside the default recursion limit
+# of 1000.
+MAX_DEPTH = 64
+
+
 class _Parser:
+    """Recursive descent; each ``parse_*`` returns (node, height), where the
+    height of a tree is 1 for a leaf and one more than its tallest child."""
+
     def __init__(self, source, dims):
         self.source = source
         self.m, self.r = dims
         self.tokens = _tokenize(source)
         self.i = 0
+        self.nesting = 0   # parse_unary calls in progress
 
     def peek(self):
         return self.tokens[self.i]
@@ -133,61 +144,77 @@ class _Parser:
         kind, text, _ = self.peek()
         return kind == "op" and text in ops
 
+    def check_depth(self, depth, offset):
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", offset)
+        return depth
+
+    def binary(self, op, offset, left, right):
+        return Bin(op, left[0], right[0]), \
+            self.check_depth(1 + max(left[1], right[1]), offset)
+
+    def chain(self, ops, operand):
+        out = operand()
+        while self.at_op(*ops):
+            _, op, offset = self.advance()
+            out = self.binary(op, offset, out, operand())
+        return out
+
     # expr := term (('+'|'-') term)*
     def parse_expr(self):
-        node = self.parse_term()
-        while self.at_op("+", "-"):
-            op = self.advance()[1]
-            node = Bin(op, node, self.parse_term())
-        return node
+        return self.chain(("+", "-"), self.parse_term)
 
     # term := unary (('*'|'/') unary)*
     def parse_term(self):
-        node = self.parse_unary()
-        while self.at_op("*", "/"):
-            op = self.advance()[1]
-            node = Bin(op, node, self.parse_unary())
-        return node
+        return self.chain(("*", "/"), self.parse_unary)
 
     # unary := '-' unary | power
+    # Every nested construct re-enters here, so counting the calls in
+    # progress bounds the parser's own recursion.
     def parse_unary(self):
+        self.nesting = self.check_depth(self.nesting + 1, self.peek()[2])
         if self.at_op("-"):
-            self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+            offset = self.advance()[2]
+            operand, height = self.parse_unary()
+            out = Neg(operand), self.check_depth(height + 1, offset)
+        else:
+            out = self.parse_power()
+        self.nesting -= 1
+        return out
 
     # power := atom ('^' unary)?   (right-associative via unary recursion)
     def parse_power(self):
-        node = self.parse_atom()
+        out = self.parse_atom()
         if self.at_op("^"):
-            self.advance()
-            node = Bin("^", node, self.parse_unary())
-        return node
+            offset = self.advance()[2]
+            out = self.binary("^", offset, out, self.parse_unary())
+        return out
 
     def parse_atom(self):
         kind, text, offset = self.peek()
         if kind == "num":
             self.advance()
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "ident":
             self.advance()
             if self.at_op("("):
                 return self.parse_call(text, offset)
             if text in CONSTANTS:
-                return Const(text)
+                return Const(text), 1
             var = _VAR_RE.match(text)
             if var:
                 axis, number = var.group(1), int(var.group(2))
                 bound = self.m if axis == "x" else self.r
                 if number <= bound:
                     index = number - 1 if axis == "x" else self.m + number - 1
-                    return Var(text, index)
+                    return Var(text, index), 1
             raise UnknownIdentifier(text, offset)
         if kind == "op" and text == "(":
             self.advance()
-            node = self.parse_expr()
+            out = self.parse_expr()
             self.expect_op(")")
-            return node
+            return out
         raise ExprSyntaxError("expected a number, identifier or '('", offset,
                               expected=("number", "identifier", "("))
 
@@ -204,13 +231,16 @@ class _Parser:
         if len(args) != arity:
             raise ArityError(
                 f"{name} expects {arity} argument(s), got {len(args)}")
-        return Call(name, tuple(args))
+        height = self.check_depth(1 + max(h for _, h in args), offset)
+        return Call(name, tuple(node for node, _ in args)), height
 
 
 def parse(source: str, dims: Tuple[int, int]) -> Expr:
-    """Parse ``source`` against dimensions ``(m, r)``."""
+    """Parse ``source`` against dimensions ``(m, r)``.  Trees deeper than
+    ``MAX_DEPTH`` are refused with an ExprSyntaxError at the offending
+    offset."""
     parser = _Parser(source, dims)
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     kind, text, offset = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected {text!r}", offset,

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import DimensionMismatch, NonSmoothPoint
+from .errors import DimensionMismatch, GeometryError, NonSmoothPoint
 
 _TAG = itertools.count(1)
 
@@ -62,9 +62,6 @@ class Taylor:
 
     def value(self):
         return self.coeffs.get((0,) * self.nvars, 0.0)
-
-    def coeff(self, exponents):
-        return self.coeffs.get(tuple(exponents), 0.0)
 
     def _same_layer(self, other):
         return isinstance(other, Taylor) and other.tag == self.tag
@@ -180,7 +177,10 @@ def t_exp(u):
     if isinstance(u, Taylor):
         e = t_exp(u.value())
         return _compose(u, [e, e, e, e])
-    return math.exp(u)
+    try:
+        return math.exp(u)
+    except OverflowError:
+        raise GeometryError(f"exp({u!r}) overflows") from None
 
 
 def t_ln(u):
@@ -240,7 +240,11 @@ def t_pow(base, exponent):
         return _pow_int(base, int(exponent))
     if scalar_value(base) <= 0.0:
         raise NonSmoothPoint("non-integer power of a non-positive base")
-    return t_exp(exponent * t_ln(base))
+    try:
+        return t_exp(exponent * t_ln(base))
+    except GeometryError:
+        raise GeometryError(f"pow({scalar_value(base)!r}, "
+                            f"{scalar_value(exponent)!r}) overflows") from None
 
 
 def _pow_int(base, n):

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import linalg
-from .algebroid import GeneralizedAlgebroid, _check_grid
+from .algebroid import GeneralizedAlgebroid, _check_grid, _freeze, contract
 from .dtensor import DConnection
 from .errors import DimensionMismatch, ShapeError, SingularMetric
 from .jets import Point, ScalarField
-from .metric import MetricStructure, _vertical_christoffel
-from .nlconn import NonlinearConnection, delta_action
-from .sampling import ValidationReport, fields_sweep_max
+from .metric import MetricStructure, _add_half_raised, \
+    _koszul_christoffel, _vertical_christoffel
+from .nlconn import NonlinearConnection
+from .sampling import ValidationReport, fields_sweep_max, sweep_max
 
 RANK_TOL = 1e-10
 
@@ -63,15 +64,15 @@ def regularity_check(block, samples: Sequence[Point],
     """Rank of the Hessian block at every sample; regular means full rank."""
     r = len(block)
     report = ValidationReport()
-    worst_rank, arg = r, None
-    for point in samples:
+
+    def rank_defect(point):
         coords = list(point.coords())
-        values = [[float(f(coords)) for f in row] for row in block]
-        rk = linalg.rank(values, tol)
-        if rk < worst_rank or arg is None:
-            worst_rank, arg = rk, point
-    report.add("hessian_rank_defect", float(r - worst_rank), arg, 0.0)
-    report.metadata["rank"] = worst_rank
+        return r - linalg.rank([[float(f(coords)) for f in row]
+                                for row in block], tol)
+
+    defect, arg = sweep_max(rank_defect, samples)
+    report.add("hessian_rank_defect", float(defect), arg, 0.0)
+    report.metadata["rank"] = r - int(defect)
     report.metadata["dimension"] = r
     return report
 
@@ -89,34 +90,30 @@ def finsler_checks(fund: FundamentalFunction, samples: Sequence[Point],
     F = fund.value
     report = ValidationReport()
 
-    worst, arg = 0.0, None
-    for point in samples:
-        coords = list(point.coords())
-        base_value = float(F(coords))
-        for lam in scales:
-            scaled = list(point.x) + [lam * v for v in point.y]
-            res = abs(float(F(scaled)) - lam * base_value)
-            if arg is None or res > worst:
-                worst, arg = res, point
-    report.add("homogeneity", worst, arg, tol)
+    def homogeneity(point):
+        base_value = float(F(list(point.coords())))
+        return sweep_max(lambda lam: float(F(list(point.x) + [
+            lam * v for v in point.y])) - lam * base_value, scales)[0]
 
-    euler = ScalarField.const(m, r, 0.0)
-    for a in range(r):
-        euler = euler + ScalarField.coordinate(m, r, m + a) * F.partial(m + a)
-    euler = euler - F
+    value, arg = sweep_max(homogeneity, samples)
+    report.add("homogeneity", value, arg, tol)
+
+    euler = contract((), (r,), lambda: ScalarField.const(m, r, 0.0),
+                     lambda a: ScalarField.coordinate(m, r, m + a)
+                     * F.partial(m + a)) - F
     value, arg = fields_sweep_max([euler], samples)
     report.add("euler_identity", value, arg, tol)
 
     block = hessian_metric(fund)
-    worst, arg = 0.0, None
-    for point in samples:
+
+    def indefinite(point):
         coords = list(point.coords())
-        values = [[float(f(coords)) for f in row] for row in block]
-        pivots = linalg.sym_pivots(values)
-        defect = 0.0 if all(p > RANK_TOL for p in pivots) else 1.0
-        if arg is None or defect > worst:
-            worst, arg = defect, point
-    report.add("positive_definite_defect", worst, arg, 0.0)
+        pivots = linalg.sym_pivots([[float(f(coords)) for f in row]
+                                    for row in block])
+        return 0.0 if all(p > RANK_TOL for p in pivots) else 1.0
+
+    value, arg = sweep_max(indefinite, samples)
+    report.add("positive_definite_defect", value, arg, 0.0)
     return report
 
 
@@ -148,9 +145,7 @@ class NormalDConnection:
         _check_grid("h", self.h, (A.r, A.r, A.r))
         _check_grid("v", self.v, (A.r, A.r, A.r))
         for name in ("h", "v"):
-            value = getattr(self, name)
-            object.__setattr__(self, name, tuple(
-                tuple(tuple(row) for row in plane) for plane in value))
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def algebroid(self):
@@ -159,11 +154,6 @@ class NormalDConnection:
     def as_dconnection(self) -> DConnection:
         return DConnection(self.nlconn, hh=self.h, hv=self.h,
                            vh=self.v, vv=self.v)
-
-    def block_at(self, name, point: Point):
-        coords = list(point.coords())
-        return [[[float(f(coords)) for f in row] for row in plane]
-                for plane in getattr(self, name)]
 
 
 def levi_civita_normal(C: NonlinearConnection,
@@ -174,29 +164,7 @@ def levi_civita_normal(C: NonlinearConnection,
     A = G.algebroid
     if A.p != A.r:
         raise DimensionMismatch("this construction needs p = r")
-    n = A.r
-    g = G.gv
-    ginv = G.gv_inv()
-    L = A.L
-    h = []
-    for a in range(n):
-        plane = []
-        for b in range(n):
-            row = []
-            for c in range(n):
-                f = A.zero_field()
-                for e in range(n):
-                    term = (delta_action(C, b, g[e][c])
-                            + delta_action(C, c, g[b][e])
-                            - delta_action(C, e, g[b][c]))
-                    for d in range(n):
-                        term = term - g[c][d] * L[d][b][e]
-                        term = term + g[b][d] * L[d][e][c]
-                        term = term - g[e][d] * L[d][b][c]
-                    f = f + ginv[a][e] * term
-                row.append(f * 0.5)
-            plane.append(row)
-        h.append(plane)
+    h = _koszul_christoffel(C, G.gv, G.gv_inv())
     v = _vertical_christoffel(G)
     return NormalDConnection(C, h=h, v=v)
 
@@ -210,10 +178,8 @@ class TorsionPair:
     s: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "t", tuple(
-            tuple(tuple(row) for row in plane) for plane in self.t))
-        object.__setattr__(self, "s", tuple(
-            tuple(tuple(row) for row in plane) for plane in self.s))
+        object.__setattr__(self, "t", _freeze(self.t))
+        object.__setattr__(self, "s", _freeze(self.s))
 
 
 def torsion_deform(base: NormalDConnection, G: MetricStructure,
@@ -225,27 +191,17 @@ def torsion_deform(base: NormalDConnection, G: MetricStructure,
     _check_grid("t", torsions.t, (n, n, n))
     _check_grid("s", torsions.s, (n, n, n))
     g = G.gv
-    ginv = G.gv_inv()
 
     def deform(block, tor):
-        out = []
-        for a in range(n):
-            plane = []
-            for b in range(n):
-                row = []
-                for c in range(n):
-                    f = block[a][b][c]
-                    for e in range(n):
-                        corr = A.zero_field()
-                        for d in range(n):
-                            corr = corr + g[e][d] * tor[d][b][c]
-                            corr = corr - g[b][d] * tor[d][e][c]
-                            corr = corr + g[c][d] * tor[d][b][e]
-                        f = f + (0.5 * ginv[a][e]) * corr
-                    row.append(f)
-                plane.append(row)
-            out.append(plane)
-        return out
+        def corr(e, b, c):
+            out = A.zero_field()
+            for d in range(n):
+                out = out + g[e][d] * tor[d][b][c] \
+                    - g[b][d] * tor[d][e][c] + g[c][d] * tor[d][b][e]
+            return out
+
+        return _add_half_raised(lambda a, b, c: block[a][b][c], G.gv_inv(),
+                                (n, n, n), corr)
 
     return NormalDConnection(base.nlconn, h=deform(base.h, torsions.t),
                              v=deform(base.v, torsions.s))

@@ -8,6 +8,8 @@ part of each entry.
 
 from __future__ import annotations
 
+import math
+
 from .jets import scalar_value
 
 PIVOT_TOL = 1e-12
@@ -29,12 +31,17 @@ def _scale(rows):
 def invert(rows, tol=PIVOT_TOL):
     """Inverse by Gauss-Jordan elimination with partial pivoting.
 
-    Raises SingularMatrixError when the best pivot is below ``tol`` relative
-    to the largest input entry.
+    Raises SingularMatrixError when an entry is not finite, or when the best
+    pivot is below ``tol`` relative to the largest input entry.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            if not math.isfinite(scalar_value(entry)):
+                raise SingularMatrixError(
+                    f"entry [{i}][{j}] is {scalar_value(entry)!r}, not finite")
     scale = _scale(rows)
     work = [list(row) for row in rows]
     inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
@@ -147,7 +154,8 @@ def field_matrix_inverse(mat, m, r, tol=PIVOT_TOL, exc=None):
     Evaluating an entry inverts the whole matrix at that point (cached for
     plain float coordinates); with Taylor coordinates the inverse carries
     derivative information.  ``exc``, if given, replaces
-    SingularMatrixError at evaluation time.
+    SingularMatrixError at evaluation time; either way the message names the
+    point.
     """
     from .jets import ScalarField
 
@@ -162,7 +170,9 @@ def field_matrix_inverse(mat, m, r, tol=PIVOT_TOL, exc=None):
         try:
             inv = invert(values, tol)
         except SingularMatrixError as err:
-            raise exc(str(err)) if exc is not None else err
+            point = [scalar_value(c) for c in coords]
+            raise (exc or SingularMatrixError)(
+                f"{err} at x={point[:m]}, y={point[m:]}") from err
         if key is not None:
             cache[key] = inv
         return inv

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
-from .algebroid import GeneralizedAlgebroid, _check_grid
+from .algebroid import GeneralizedAlgebroid, _check_grid, _check_x_only, \
+    _flatten, contract
 from .dtensor import DConnection, DTensorField, IndexSignature, DOWN, \
-    HORIZONTAL, VERTICAL, h_cov_deriv, v_cov_deriv
-from .errors import ShapeError, SingularMetric
+    HORIZONTAL, VERTICAL, fiber_derivatives, h_cov_deriv, v_cov_deriv
+from .errors import SingularMetric
 from .jets import Point, ScalarField
 from .nlconn import NonlinearConnection, delta_action
 from .sampling import ValidationReport, fields_sweep_max
@@ -57,12 +58,8 @@ class MetricStructure:
         for flag, name, block in ((self.h_riemannian, "gh", self.gh),
                                   (self.v_riemannian, "gv", self.gv)):
             if flag:
-                for row in block:
-                    for f in row:
-                        if f.deps is None or any(i >= A.m for i in f.deps):
-                            raise ShapeError(
-                                f"{name} flagged Riemannian but depends on"
-                                " fiber coordinates")
+                _check_x_only(f"{name} flagged Riemannian", _flatten(block),
+                              A.m)
         object.__setattr__(self, "_gh_inv", None)
         object.__setattr__(self, "_gv_inv", None)
 
@@ -78,21 +75,19 @@ class MetricStructure:
     def r(self):
         return self.algebroid.r
 
-    def gh_inv(self):
-        if self._gh_inv is None:
+    def _inverse(self, cached, block):
+        if getattr(self, cached) is None:
             inv = linalg.field_matrix_inverse(
-                [list(row) for row in self.gh], self.m, self.r,
+                [list(row) for row in block], self.m, self.r,
                 exc=SingularMetric)
-            object.__setattr__(self, "_gh_inv", _symmetrize("gh_inv", inv))
-        return self._gh_inv
+            object.__setattr__(self, cached, _symmetrize(cached, inv))
+        return getattr(self, cached)
+
+    def gh_inv(self):
+        return self._inverse("_gh_inv", self.gh)
 
     def gv_inv(self):
-        if self._gv_inv is None:
-            inv = linalg.field_matrix_inverse(
-                [list(row) for row in self.gv], self.m, self.r,
-                exc=SingularMetric)
-            object.__setattr__(self, "_gv_inv", _symmetrize("gv_inv", inv))
-        return self._gv_inv
+        return self._inverse("_gv_inv", self.gv)
 
     def inverse_at(self, point: Point):
         """Numeric inverses of both blocks at a point, with the residual
@@ -140,57 +135,50 @@ def metrizability_residual(D: DConnection, G: MetricStructure,
     return report
 
 
+def _christoffel(A, ginv, bracket):
+    """Christoffel block 0.5 * ginv^{ae} bracket(e, b, c), summed over e."""
+    n = len(ginv)
+    sums = contract((n, n, n), (n,), lambda *_: A.zero_field(),
+                    lambda a, b, c, e: ginv[a][e] * bracket(e, b, c))
+    return [[[f * 0.5 for f in row] for row in plane] for plane in sums]
+
+
 def _vertical_christoffel(G: MetricStructure):
     """vv[a][b][c] = (1/2) gv_inv^{ae} (d_c g_{eb} + d_b g_{ec} - d_e g_{bc})
     with d the fiber partials."""
-    A = G.algebroid
-    m, r = A.m, A.r
-    ginv = G.gv_inv()
-    out = []
-    for a in range(r):
-        plane = []
-        for b in range(r):
-            row = []
-            for c in range(r):
-                f = A.zero_field()
-                for e in range(r):
-                    term = (G.gv[e][b].partial(m + c)
-                            + G.gv[e][c].partial(m + b)
-                            - G.gv[b][c].partial(m + e))
-                    f = f + ginv[a][e] * term
-                row.append(f * 0.5)
-            plane.append(row)
-        out.append(plane)
-    return out
+    m, g = G.m, G.gv
+    return _christoffel(G.algebroid, G.gv_inv(), lambda e, b, c:
+                        g[e][b].partial(m + c) + g[e][c].partial(m + b)
+                        - g[b][c].partial(m + e))
 
 
-def _hh_christoffel(G: MetricStructure, C: NonlinearConnection):
-    """hh[alpha][beta][gamma]: the adapted-frame Koszul formula for the
-    horizontal block, with the structure-function correction terms."""
-    A = G.algebroid
+def _koszul_christoffel(C: NonlinearConnection, g, ginv):
+    """Horizontal Christoffel block [alpha][beta][gamma] of the metric block
+    ``g`` (p x p) with inverse ``ginv``: the adapted-frame Koszul formula,
+    with the structure-function correction terms."""
+    A = C.algebroid
     L = A.L
-    ginv = G.gh_inv()
-    p = A.p
-    out = []
-    for alpha in range(p):
-        plane = []
-        for beta in range(p):
-            row = []
-            for gamma in range(p):
-                f = A.zero_field()
-                for eps in range(p):
-                    term = (delta_action(C, gamma, G.gh[eps][beta])
-                            + delta_action(C, beta, G.gh[eps][gamma])
-                            - delta_action(C, eps, G.gh[beta][gamma]))
-                    for theta in range(p):
-                        term = term + G.gh[theta][eps] * L[theta][gamma][beta]
-                        term = term - G.gh[beta][theta] * L[theta][gamma][eps]
-                        term = term - G.gh[theta][gamma] * L[theta][beta][eps]
-                    f = f + ginv[alpha][eps] * term
-                row.append(f * 0.5)
-            plane.append(row)
-        out.append(plane)
-    return out
+
+    def bracket(eps, beta, gamma):
+        term = (delta_action(C, gamma, g[eps][beta])
+                + delta_action(C, beta, g[eps][gamma])
+                - delta_action(C, eps, g[beta][gamma]))
+        for theta in range(A.p):
+            term = term + g[theta][eps] * L[theta][gamma][beta] \
+                - g[beta][theta] * L[theta][gamma][eps] \
+                - g[theta][gamma] * L[theta][beta][eps]
+        return term
+
+    return _christoffel(A, ginv, bracket)
+
+
+def _add_half_raised(start, ginv, shape, x):
+    """Block of ``shape`` with entries start(a, b, c) + 0.5 * ginv^{ae}
+    x(e, b, c), summed over e: a base block plus half the covariant
+    derivative of the metric (or, for prescribed torsions, the lowered
+    contorsion) with its first index raised."""
+    return contract(shape, (len(ginv),), start,
+                    lambda a, b, c, e: 0.5 * ginv[a][e] * x(e, b, c))
 
 
 def canonical_dconnection(G: MetricStructure,
@@ -198,43 +186,17 @@ def canonical_dconnection(G: MetricStructure,
     """The metrical d-connection built over ``base``: Koszul horizontal and
     vertical Christoffel blocks, plus base-connection corrections on the
     mixed blocks."""
-    A = G.algebroid
-    C = base.nlconn
-    m, p, r = A.m, A.p, A.r
-    gh_inv, gv_inv = G.gh_inv(), G.gv_inv()
-
-    hh = _hh_christoffel(G, C)
-    vv = _vertical_christoffel(G)
-
+    p, r = G.p, G.r
     gv_h0 = h_cov_deriv(base, G.v_tensor())   # g_{bc} h-derivative at base
-    hv = []
-    for a in range(r):
-        plane = []
-        for b in range(r):
-            row = []
-            for gamma in range(p):
-                f = base.hv[a][b][gamma]
-                for c in range(r):
-                    f = f + 0.5 * gv_inv[a][c] * gv_h0[(b, c, gamma)]
-                row.append(f)
-            plane.append(row)
-        hv.append(plane)
-
     gh_v0 = v_cov_deriv(base, G.h_tensor())   # g_{beta eps} v-derivative
-    vh = []
-    for alpha in range(p):
-        plane = []
-        for beta in range(p):
-            row = []
-            for c in range(r):
-                f = base.vh[alpha][beta][c]
-                for eps in range(p):
-                    f = f + 0.5 * gh_inv[alpha][eps] * gh_v0[(beta, eps, c)]
-                row.append(f)
-            plane.append(row)
-        vh.append(plane)
-
-    return DConnection(C, hh=hh, hv=hv, vh=vh, vv=vv)
+    return DConnection(
+        base.nlconn,
+        hh=_koszul_christoffel(base.nlconn, G.gh, G.gh_inv()),
+        hv=_add_half_raised(lambda a, b, g: base.hv[a][b][g], G.gv_inv(),
+                            (r, r, p), lambda c, b, g: gv_h0[(b, c, g)]),
+        vh=_add_half_raised(lambda a, b, c: base.vh[a][b][c], G.gh_inv(),
+                            (p, p, r), lambda e, b, c: gh_v0[(b, e, c)]),
+        vv=_vertical_christoffel(G))
 
 
 def berwald_canonical(G: MetricStructure,
@@ -243,46 +205,25 @@ def berwald_canonical(G: MetricStructure,
     written out directly; valid for any p, r."""
     A = G.algebroid
     m, p, r = A.m, A.p, A.r
-    gh_inv, gv_inv = G.gh_inv(), G.gv_inv()
+    dgamma = fiber_derivatives(C)
 
-    hh = _hh_christoffel(G, C)
-    vv = _vertical_christoffel(G)
+    def cov(c, b, gamma):
+        out = delta_action(C, gamma, G.gv[b][c])
+        for e in range(r):
+            out = out - dgamma[e][b][gamma] * G.gv[e][c] \
+                - dgamma[e][c][gamma] * G.gv[b][e]
+        return out
 
-    dgamma = [[[C.gamma[a][g].partial(m + b) for g in range(p)]
-               for b in range(r)] for a in range(r)]
-
-    hv = []
-    for a in range(r):
-        plane = []
-        for b in range(r):
-            row = []
-            for gamma in range(p):
-                f = A.zero_field() + dgamma[a][b][gamma]
-                for c in range(r):
-                    cov = delta_action(C, gamma, G.gv[b][c])
-                    for e in range(r):
-                        cov = cov - dgamma[e][b][gamma] * G.gv[e][c]
-                        cov = cov - dgamma[e][c][gamma] * G.gv[b][e]
-                    f = f + 0.5 * gv_inv[a][c] * cov
-                row.append(f)
-            plane.append(row)
-        hv.append(plane)
-
-    vh = []
-    for alpha in range(p):
-        plane = []
-        for beta in range(p):
-            row = []
-            for c in range(r):
-                f = A.zero_field()
-                for eps in range(p):
-                    f = f + 0.5 * gh_inv[alpha][eps] \
-                        * G.gh[beta][eps].partial(m + c)
-                row.append(f)
-            plane.append(row)
-        vh.append(plane)
-
-    return DConnection(C, hh=hh, hv=hv, vh=vh, vv=vv)
+    return DConnection(
+        C,
+        hh=_koszul_christoffel(C, G.gh, G.gh_inv()),
+        hv=_add_half_raised(
+            lambda a, b, g: A.zero_field() + dgamma[a][b][g],
+            G.gv_inv(), (r, r, p), cov),
+        vh=_add_half_raised(lambda *_: A.zero_field(), G.gh_inv(),
+                            (p, p, r),
+                            lambda e, b, c: G.gh[b][e].partial(m + c)),
+        vv=_vertical_christoffel(G))
 
 
 @dataclass(frozen=True)
@@ -331,22 +272,11 @@ def _obata_fields(G: MetricStructure, block, inv_block, n, star):
     """Obata projector entries as fields: index order [a][e][b][c]."""
     A = G.algebroid
     sign = 1.0 if star else -1.0
-    out = []
-    for a in range(n):
-        p1 = []
-        for e in range(n):
-            p2 = []
-            for b in range(n):
-                row = []
-                for c in range(n):
-                    ident = 0.5 if (a == b and e == c) else 0.0
-                    f = ScalarField.const(A.m, A.r, ident)
-                    f = f + (0.5 * sign) * block[b][c] * inv_block[a][e]
-                    row.append(f)
-                p2.append(row)
-            p1.append(p2)
-        out.append(p1)
-    return out
+    return contract(
+        (n, n, n, n), (),
+        lambda a, e, b, c: ScalarField.const(
+            A.m, A.r, 0.5 if (a == b and e == c) else 0.0),
+        lambda a, e, b, c: (0.5 * sign) * block[b][c] * inv_block[a][e])
 
 
 def obata_deform(G: MetricStructure, C: NonlinearConnection,
@@ -373,20 +303,10 @@ def obata_deform(G: MetricStructure, C: NonlinearConnection,
     # the derivative index rides along untouched, so compatibility with the
     # metric survives term by term
     def deform(block, proj, param, dim, deriv_dim):
-        out = []
-        for a in range(dim):
-            plane = []
-            for b in range(dim):
-                row = []
-                for c in range(deriv_dim):
-                    f = block[a][b][c]
-                    for e in range(dim):
-                        for d in range(dim):
-                            f = f + proj[a][e][d][b] * param[d][e][c]
-                    row.append(f)
-                plane.append(row)
-            out.append(plane)
-        return out
+        return contract((dim, dim, deriv_dim), (dim, dim),
+                        lambda a, b, c: block[a][b][c],
+                        lambda a, b, c, e, d:
+                        proj[a][e][d][b] * param[d][e][c])
 
     return DConnection(C,
                        hh=deform(base.hh, oh, xh, p, p),
@@ -398,65 +318,19 @@ def obata_deform(G: MetricStructure, C: NonlinearConnection,
 def base_deform(G: MetricStructure, base: DConnection) -> DConnection:
     """Metrical connection obtained from an arbitrary base d-connection by
     absorbing half of each covariant derivative of the metric."""
-    A = G.algebroid
-    p, r = A.p, A.r
-    gh_inv, gv_inv = G.gh_inv(), G.gv_inv()
-    gh_h = h_cov_deriv(base, G.h_tensor())
-    gv_h = h_cov_deriv(base, G.v_tensor())
-    gh_v = v_cov_deriv(base, G.h_tensor())
-    gv_v = v_cov_deriv(base, G.v_tensor())
+    p, r = G.p, G.r
 
-    hh = []
-    for alpha in range(p):
-        plane = []
-        for beta in range(p):
-            row = []
-            for gamma in range(p):
-                f = base.hh[alpha][beta][gamma]
-                for eps in range(p):
-                    f = f + 0.5 * gh_inv[alpha][eps] \
-                        * gh_h[(eps, beta, gamma)]
-                row.append(f)
-            plane.append(row)
-        hh.append(plane)
+    def absorb(block, ginv, shape, deriv):
+        return _add_half_raised(lambda a, b, c: block[a][b][c], ginv,
+                                shape, lambda e, b, c: deriv[(e, b, c)])
 
-    hv = []
-    for a in range(r):
-        plane = []
-        for b in range(r):
-            row = []
-            for gamma in range(p):
-                f = base.hv[a][b][gamma]
-                for e in range(r):
-                    f = f + 0.5 * gv_inv[a][e] * gv_h[(e, b, gamma)]
-                row.append(f)
-            plane.append(row)
-        hv.append(plane)
-
-    vh = []
-    for alpha in range(p):
-        plane = []
-        for beta in range(p):
-            row = []
-            for c in range(r):
-                f = base.vh[alpha][beta][c]
-                for eps in range(p):
-                    f = f + 0.5 * gh_inv[alpha][eps] * gh_v[(eps, beta, c)]
-                row.append(f)
-            plane.append(row)
-        vh.append(plane)
-
-    vv = []
-    for a in range(r):
-        plane = []
-        for b in range(r):
-            row = []
-            for c in range(r):
-                f = base.vv[a][b][c]
-                for e in range(r):
-                    f = f + 0.5 * gv_inv[a][e] * gv_v[(e, b, c)]
-                row.append(f)
-            plane.append(row)
-        vv.append(plane)
-
-    return DConnection(base.nlconn, hh=hh, hv=hv, vh=vh, vv=vv)
+    return DConnection(
+        base.nlconn,
+        hh=absorb(base.hh, G.gh_inv(), (p, p, p),
+                  h_cov_deriv(base, G.h_tensor())),
+        hv=absorb(base.hv, G.gv_inv(), (r, r, p),
+                  h_cov_deriv(base, G.v_tensor())),
+        vh=absorb(base.vh, G.gh_inv(), (p, p, r),
+                  v_cov_deriv(base, G.h_tensor())),
+        vv=absorb(base.vv, G.gv_inv(), (r, r, r),
+                  v_cov_deriv(base, G.v_tensor())))

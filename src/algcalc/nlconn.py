@@ -21,11 +21,11 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .algebroid import GeneralizedAlgebroid, _check_grid, _check_x_only, \
-    _flatten
+    _flatten, _freeze, contract
 from .errors import DimensionMismatch, IndexOutOfRange, ShapeError, \
     SingularTransition
 from .jets import Point, ScalarField, compose
-from .sampling import ValidationReport, fields_sweep_max
+from .sampling import ValidationReport, fields_sweep_max, sweep_max
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ class NonlinearConnection:
     def __post_init__(self):
         A = self.algebroid
         _check_grid("gamma", self.gamma, (A.r, A.p))
-        object.__setattr__(self, "gamma",
-                           tuple(tuple(row) for row in self.gamma))
+        object.__setattr__(self, "gamma", _freeze(self.gamma))
 
     @property
     def m(self):
@@ -69,15 +68,8 @@ def from_ehresmann(A: GeneralizedAlgebroid,
     """Pull classical Ehresmann coefficients ``coefficients[a][k]`` (r x m)
     back through the anchor: gamma[a][alpha] = sum_k rho[k][alpha] * c[a][k]."""
     _check_grid("ehresmann coefficients", coefficients, (A.r, A.m))
-    gamma = []
-    for a in range(A.r):
-        row = []
-        for alpha in range(A.p):
-            f = A.zero_field()
-            for k in range(A.m):
-                f = f + A.rho[k][alpha] * coefficients[a][k]
-            row.append(f)
-        gamma.append(row)
+    gamma = contract((A.r, A.p), (A.m,), lambda *_: A.zero_field(),
+                     lambda a, alpha, k: A.rho[k][alpha] * coefficients[a][k])
     return NonlinearConnection(A, gamma)
 
 
@@ -94,15 +86,6 @@ def delta_action(C: NonlinearConnection, alpha: int,
     for a in range(A.r):
         out = out - C.gamma[a][alpha] * f.partial(A.m + a)
     return out
-
-
-def vertical_action(C: NonlinearConnection, c: int,
-                    f: ScalarField) -> ScalarField:
-    """Derivation along the vertical frame field (plain fiber partial)."""
-    A = C.algebroid
-    if not 0 <= c < A.r:
-        raise IndexOutOfRange(f"vertical index {c} out of range")
-    return f.partial(A.m + c)
 
 
 # -- adapted frame ---------------------------------------------------------
@@ -206,14 +189,7 @@ class FrameChange:
         for name in ("lam", "lam_inv", "mmat", "mmat_inv", "basemap",
                      "basemap_inv"):
             _check_x_only(name, _flatten(getattr(self, name)), self.m)
-        for name in ("lam", "lam_inv", "mmat", "mmat_inv", "basemap",
-                     "basemap_inv"):
-            value = getattr(self, name)
-            if name.startswith("basemap"):
-                object.__setattr__(self, name, tuple(value))
-            else:
-                object.__setattr__(self, name,
-                                   tuple(tuple(row) for row in value))
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def p(self):
@@ -222,14 +198,11 @@ class FrameChange:
     def full_maps(self):
         """Coordinate maps (length m + r) sending original coordinates to
         image ones; fiber part is M applied to the fiber coordinates."""
-        maps = list(self.basemap)
-        for ap in range(self.r):
-            f = ScalarField.const(self.m, self.r, 0.0)
-            for a in range(self.r):
-                f = f + self.mmat[ap][a] \
-                    * ScalarField.coordinate(self.m, self.r, self.m + a)
-            maps.append(f)
-        return maps
+        m, r = self.m, self.r
+        return list(self.basemap) + contract(
+            (r,), (r,), lambda _: ScalarField.const(m, r, 0.0),
+            lambda ap, a: self.mmat[ap][a]
+            * ScalarField.coordinate(m, r, m + a))
 
     def inverse(self) -> "FrameChange":
         """The reverse transition, still expressed over the original
@@ -246,17 +219,18 @@ class FrameChange:
                           tol: float = 1e-8) -> ValidationReport:
         """Mutual-inverse residuals of the matrices and of the base maps."""
         report = ValidationReport()
+
+        def residual(mat, inv, point):
+            coords = list(point.coords())
+            return linalg.residual_identity(
+                [[float(f(coords)) for f in row] for row in mat],
+                [[float(f(coords)) for f in row] for row in inv])
+
         for name, mat, inv in (("lam", self.lam, self.lam_inv),
                                ("mmat", self.mmat, self.mmat_inv)):
-            worst, arg = 0.0, None
-            for point in points:
-                coords = list(point.coords())
-                a = [[float(f(coords)) for f in row] for row in mat]
-                b = [[float(f(coords)) for f in row] for row in inv]
-                res = linalg.residual_identity(a, b)
-                if arg is None or res > worst:
-                    worst, arg = res, point
-            report.add(f"{name}_inverse", worst, arg, tol)
+            value, arg = sweep_max(
+                lambda point: residual(mat, inv, point), points)
+            report.add(f"{name}_inverse", value, arg, tol)
         maps = self.full_maps()
         fields = []
         for k in range(self.m):
@@ -297,33 +271,20 @@ def transform_chart(chart: ChartFrame, F: FrameChange) -> ChartFrame:
     jac = [[chart.ddx[k](F.basemap[kp]) for k in range(m)] for kp in range(m)]
     jac_inv = linalg.field_matrix_inverse(jac, m, r, exc=SingularTransition)
 
-    def make_ddx(kp):
-        def op(f):
-            out = ScalarField.const(m, r, 0.0)
-            for k in range(m):
-                out = out + jac_inv[k][kp] * chart.ddx[k](f)
-            return out
-        return op
+    def zero(*_):
+        return ScalarField.const(m, r, 0.0)
 
-    anchor = []
-    for kp in range(m):
-        row = []
-        for gp in range(p):
-            f = ScalarField.const(m, r, 0.0)
-            for k in range(m):
-                for g in range(p):
-                    f = f + jac[kp][k] * chart.anchor[k][g] * F.lam_inv[g][gp]
-            row.append(f)
-        anchor.append(tuple(row))
-    fiber = []
-    for ap in range(r):
-        f = ScalarField.const(m, r, 0.0)
-        for a in range(r):
-            f = f + F.mmat[ap][a] * chart.fiber[a]
-        fiber.append(f)
-    return ChartFrame(anchor=tuple(anchor),
+    def make_ddx(kp):
+        return lambda f: contract(
+            (), (m,), zero, lambda k: jac_inv[k][kp] * chart.ddx[k](f))
+
+    anchor = contract((m, p), (m, p), zero, lambda kp, gp, k, g:
+                      jac[kp][k] * chart.anchor[k][g] * F.lam_inv[g][gp])
+    fiber = contract((r,), (r,), zero,
+                     lambda ap, a: F.mmat[ap][a] * chart.fiber[a])
+    return ChartFrame(anchor=_freeze(anchor),
                       ddx=tuple(make_ddx(kp) for kp in range(m)),
-                      fiber=tuple(fiber))
+                      fiber=_freeze(fiber))
 
 
 def transform_gamma(C: NonlinearConnection, F: FrameChange,
@@ -338,22 +299,20 @@ def transform_gamma(C: NonlinearConnection, F: FrameChange,
         chart = default_chart(A)
     new_chart = transform_chart(chart, F)
     m, p, r = A.m, A.p, A.r
-    gamma = []
-    for ap in range(r):
-        row = []
-        for gp in range(p):
-            f = ScalarField.const(m, r, 0.0)
-            for g in range(p):
-                inner = ScalarField.const(m, r, 0.0)
-                for a in range(r):
-                    term = C.gamma[a][g]
-                    for k in range(m):
-                        for bp in range(r):
-                            term = term + chart.anchor[k][g] \
-                                * chart.ddx[k](F.mmat_inv[a][bp]) \
-                                * new_chart.fiber[bp]
-                    inner = inner + F.mmat[ap][a] * term
-                f = f + inner * F.lam_inv[g][gp]
-            row.append(f)
-        gamma.append(row)
+
+    def zero(*_):
+        return ScalarField.const(m, r, 0.0)
+
+    def term(a, g):
+        return contract(
+            (), (m, r), lambda: C.gamma[a][g], lambda k, bp:
+            chart.anchor[k][g] * chart.ddx[k](F.mmat_inv[a][bp])
+            * new_chart.fiber[bp])
+
+    def inner(ap, g):
+        return contract((), (r,), zero,
+                        lambda a: F.mmat[ap][a] * term(a, g))
+
+    gamma = contract((r, p), (p,), zero,
+                     lambda ap, gp, g: inner(ap, g) * F.lam_inv[g][gp])
     return NonlinearConnection(A, gamma)

@@ -3,16 +3,15 @@
 Points are drawn per-index from a counter-based stream: coordinate k of
 point i at resampling attempt a is derived from the key ``seed:i:a:k``.
 The stream is stateless, so the same (seed, box) always yields the same
-list regardless of evaluation order or thread count.
+list regardless of evaluation order.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .errors import EmptyBox
 from .jets import Point
@@ -129,34 +128,30 @@ class ValidationReport:
         }
 
 
-def pmap(fn, items, threads=1):
-    """Order-preserving map, optionally on a thread pool.  Results are
-    identical for any thread count because ``fn`` must be pure."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def sweep_max(fn, items):
+    """(max |fn(item)|, argmax item) over ``items``; (0.0, None) if empty.
 
-
-def sweep_max(fn, points: Sequence[Point], threads=1):
-    """(max |fn(point)|, argmax point) over the sweep; (0.0, None) if empty."""
-    values = pmap(fn, points, threads)
+    A non-finite value wins the sweep: the first NaN ends it, and an
+    infinity beats every finite value, so a check that sees either fails
+    with that item as its argmax.
+    """
     best, arg = 0.0, None
-    for point, value in zip(points, values):
-        magnitude = abs(value)
+    for item in items:
+        magnitude = abs(fn(item))
+        if math.isnan(magnitude):
+            return magnitude, item
         if arg is None or magnitude > best:
-            best, arg = magnitude, point
+            best, arg = magnitude, item
     return best, arg
 
 
-def fields_sweep_max(fields, points, threads=1):
+def fields_sweep_max(fields, points):
     """Max |field(point)| over every field in a flat iterable and every
     point.  Returns (max, argmax_point)."""
     fields = list(fields)
 
     def at(point):
         coords = list(point.coords())
-        return max((abs(float(f(coords))) for f in fields), default=0.0)
+        return sweep_max(lambda f: float(f(coords)), fields)[0]
 
-    return sweep_max(at, points, threads)
+    return sweep_max(at, points)

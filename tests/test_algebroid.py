@@ -99,7 +99,7 @@ def test_frame_algebroid_satisfies_axioms():
     pts = box_samples(2, 2, 10, seed=3)
     report = validate_structure(A, pts)
     assert report.passed
-    assert jacobi_residual(A, pts) < 1e-8
+    assert jacobi_residual(A, pts)[0] < 1e-8
 
 
 def test_so3_structure_and_jacobi():
@@ -107,14 +107,14 @@ def test_so3_structure_and_jacobi():
     pts = box_samples(1, 3, 5, seed=4)
     report = validate_structure(A, pts)
     assert report.passed
-    assert jacobi_residual(A, pts) < 1e-12
+    assert jacobi_residual(A, pts)[0] < 1e-12
 
 
 def test_jacobi_single_triple():
     A, _, _ = so3_geometry()
     pts = box_samples(1, 3, 3, seed=5)
     b = basis_sections(A)
-    assert jacobi_residual(A, pts, triple=(b[0], b[1], b[2])) < 1e-12
+    assert jacobi_residual(A, pts, triple=(b[0], b[1], b[2]))[0] < 1e-12
 
 
 def test_frame_inverse_check():

@@ -30,6 +30,7 @@ def test_check_structure_on_frame_fixture(capsys):
     payload = json.loads(out)
     assert set(payload["residuals"]) == {"antisymmetry",
                                          "anchor_compatibility", "jacobi"}
+    assert payload["residuals"]["jacobi"]["argmax"] is not None
 
 
 def test_connection_probe_table(capsys):
@@ -98,6 +99,12 @@ def test_output_file_and_probe_flag(capsys, tmp_path):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["metadata"]["blocks"]["hh"]["probes"]
+    # a negative first coordinate needs the --probe= form
+    code, out, _ = run_cli(capsys, "connection", "canonical",
+                           fixture_path("flat.json"), "--probe=-0.5,0,1,1")
+    assert code == 0
+    probe = json.loads(out)["metadata"]["blocks"]["hh"]["probes"][0]
+    assert probe["point"] == {"x": [-0.5, 0.0], "y": [1.0, 1.0]}
 
 
 def test_report_byte_determinism(capsys):
@@ -153,3 +160,45 @@ def test_dump_report_serialization():
     text = dump_report({"a": 1.0 / 3.0, "b": [True, None, 2]})
     assert "0.33333333333333331" in text
     assert json.loads(text) == {"a": 1.0 / 3.0, "b": [True, None, 2]}
+    text = dump_report({"c": [float("nan"), float("inf"), -float("inf")]})
+    assert json.loads(text) == {"c": ["NaN", "Infinity", "-Infinity"]}
+
+
+def write_config(tmp_path, **entries):
+    config = {"schema_version": 1, "dims": {"m": 1, "p": 1, "r": 1},
+              "sampling": {"count": 3}}
+    config.update(entries)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_non_finite_residual_fails_with_valid_json(capsys, tmp_path):
+    # the entry is 1, but its x1-derivative is inf - inf = NaN on this box
+    big = "exp(700)*exp(100*x1)"
+    path = write_config(
+        tmp_path, metric={"h": [[f"{big} - {big} + 1"]], "v": [["1"]]},
+        sampling={"x_box": [[0.06, 0.09]], "count": 3})
+    code, out, _ = run_cli(capsys, "metrizability", path)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    check = payload["residuals"]["gh_h_deriv"]
+    assert check["max"] == "NaN" and check["pass"] is False
+    assert check["argmax"] is not None
+
+
+def test_overflowing_expression_is_config_failure(capsys, tmp_path):
+    path = write_config(tmp_path, dims={"m": 2, "p": 2, "r": 2},
+                        finsler="sqrt(y1^2 + y2^2)*exp(1000)")
+    code, out, err = run_cli(capsys, "finsler-check", path)
+    assert code == 2 and out == ""
+    assert "exp(1000.0) overflows" in err
+
+
+def test_deeply_nested_expression_is_config_failure(capsys, tmp_path):
+    deep = "(" * 2000 + "x1" + ")" * 2000
+    path = write_config(tmp_path, metric={"h": [[deep]], "v": [["1"]]})
+    code, out, err = run_cli(capsys, "metrizability", path)
+    assert code == 2 and out == ""
+    assert "metric.h[0][0]" in err and "nested deeper than" in err

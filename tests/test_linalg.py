@@ -16,6 +16,16 @@ def test_invert_singular_raises():
         linalg.invert([[1.0, 2.0], [2.0, 4.0]])
 
 
+def test_invert_rejects_non_finite_entries():
+    with pytest.raises(linalg.SingularMatrixError, match=r"entry \[1\]\[0\]"):
+        linalg.invert([[1.0, 0.0], [1e308 * 10, 1.0]])
+    m, r = 1, 0
+    inv = linalg.field_matrix_inverse([[parse_field("1e308*10", m, r)]], m, r,
+                                      exc=SingularMetric)
+    with pytest.raises(SingularMetric, match=r"not finite at x=\[0\.5\]"):
+        float(inv[0][0]([0.5]))
+
+
 def test_rank():
     assert linalg.rank([[1.0, 2.0], [2.0, 4.0]]) == 1
     assert linalg.rank([[1.0, 0.0], [0.0, 1e-3]]) == 2

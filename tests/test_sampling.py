@@ -4,8 +4,9 @@ import pytest
 
 from algcalc.errors import EmptyBox
 from algcalc.exprlang import parse_field
+from algcalc.jets import ScalarField
 from algcalc.sampling import (SampleBox, ValidationReport, fields_sweep_max,
-                              generate, pmap, sweep_max)
+                              generate, sweep_max)
 
 
 def unit_box(m=2, r=2):
@@ -70,10 +71,17 @@ def test_fields_sweep_max_over_fields():
     assert value == pytest.approx(want)
 
 
-def test_pmap_thread_count_invariant():
-    items = list(range(50))
-    fn = lambda v: v * v
-    assert pmap(fn, items, threads=1) == pmap(fn, items, threads=8)
+def test_non_finite_residual_wins_the_sweep():
+    pts = generate(unit_box(1, 1), 2, seed=3, fiber_floor=None)
+    for bad in (math.nan, math.inf):
+        values = {pts[0]: 0.5, pts[1]: bad}
+        value, arg = sweep_max(lambda p: values[p], pts)
+        assert not math.isfinite(value) and arg == pts[1]
+        second = ScalarField(1, 1, lambda c: bad if c[0] == pts[1].x[0]
+                             else 0.25)
+        value, arg = fields_sweep_max(
+            [ScalarField.const(1, 1, 0.5), second], pts)
+        assert not math.isfinite(value) and arg == pts[1]
 
 
 def test_report_accessors_and_serialization():
