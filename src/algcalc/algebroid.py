@@ -205,16 +205,29 @@ def jacobi_residual(A: GeneralizedAlgebroid, samples: Sequence[Point],
     point).
 
     With ``triple`` None, sweeps every triple of constant basis sections.
+    Each ``[X_a, X_b]`` is built once per ordered pair and each
+    ``[[X_a, X_b], X_c]`` once per ordered triple; the cyclic sum of a
+    triple reads its three terms from there.
     """
-    triples = [triple] if triple is not None else None
-    if triples is None:
-        basis = basis_sections(A)
-        triples = [(a, b, c) for a in basis for b in basis for c in basis]
+    if triple is not None:
+        sections, triples = list(triple), [(0, 1, 2)]
+    else:
+        sections = basis_sections(A)
+        triples = itertools.product(range(len(sections)), repeat=3)
+    inner, outer = {}, {}
+
+    def double_bracket(a, b, c):
+        if (a, b, c) not in outer:
+            if (a, b) not in inner:
+                inner[a, b] = bracket(A, sections[a], sections[b])
+            outer[a, b, c] = bracket(A, inner[a, b],
+                                     sections[c]).components()
+        return outer[a, b, c]
+
     components = []
-    for X1, X2, X3 in triples:
-        cyclic = [bracket(A, bracket(A, first, second), third).components()
-                  for first, second, third in ((X1, X2, X3), (X2, X3, X1),
-                                               (X3, X1, X2))]
+    for a, b, c in triples:
+        cyclic = (double_bracket(a, b, c), double_bracket(b, c, a),
+                  double_bracket(c, a, b))
         components.extend(u + v + w for u, v, w in zip(*cyclic))
     return fields_sweep_max(components, samples)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -130,6 +131,39 @@ def _expect(config, key, kind, where):
     if not isinstance(value, kind):
         raise ConfigError(f"'{key}' in {where} has the wrong type")
     return value
+
+
+def _number(value, where):
+    """A finite JSON number at ``where``, as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:   # an integer beyond the float range
+            pass
+    raise ConfigError(f"{where} must be a finite number")
+
+
+def _integer(value, where):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer")
+    return value
+
+
+def _box(spec, key, n):
+    """The ``sampling`` interval list ``spec[key]``: n [lo, hi] pairs."""
+    where = f"sampling.{key}"
+    box = spec.get(key, [[-1.0, 1.0] for _ in range(n)])
+    if not isinstance(box, list):
+        raise ConfigError(f"{where} must be a list of [lo, hi] pairs")
+    if len(box) != n:
+        raise ConfigError("sampling box does not match dims")
+    for i, pair in enumerate(box):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"{where}[{i}] must be a [lo, hi] pair")
+    return tuple(tuple(_number(v, f"{where}[{i}][{j}]")
+                       for j, v in enumerate(pair))
+                 for i, pair in enumerate(box))
 
 
 def _coeff_field(value, m, r, where):
@@ -294,34 +328,36 @@ def load_config(source) -> Geometry:
     sampling_spec = config.get("sampling", {})
     if not isinstance(sampling_spec, dict):
         raise ConfigError("'sampling' must be an object")
+    x_box = _box(sampling_spec, "x_box", m)
+    y_box = _box(sampling_spec, "y_box", r)
     try:
-        x_box = sampling_spec.get("x_box",
-                                  [[-1.0, 1.0] for _ in range(m)])
-        y_box = sampling_spec.get("y_box",
-                                  [[-1.0, 1.0] for _ in range(r)])
-        if len(x_box) != m or len(y_box) != r:
-            raise ConfigError("sampling box does not match dims")
-        geometry.box = SampleBox(
-            x=tuple(tuple(iv) for iv in x_box),
-            y=tuple(tuple(iv) for iv in y_box))
+        geometry.box = SampleBox(x=x_box, y=y_box)
     except GeometryError as err:
-        if isinstance(err, ConfigError):
-            raise
         raise ConfigError(f"bad sampling box: {err}") from err
-    geometry.count = int(sampling_spec.get("count", 100))
-    geometry.seed = int(sampling_spec.get("seed", 0))
+    geometry.count = _integer(sampling_spec.get("count", 100),
+                              "sampling.count")
+    geometry.seed = _integer(sampling_spec.get("seed", 0), "sampling.seed")
     floor = sampling_spec.get("fiber_floor", DEFAULT_FIBER_FLOOR)
-    geometry.fiber_floor = None if floor is None else float(floor)
+    geometry.fiber_floor = None if floor is None else \
+        _number(floor, "sampling.fiber_floor")
 
     tolerances = config.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("'tolerances' must be an object")
+    for name, tol in tolerances.items():
+        if _number(tol, f"tolerances.{name}") < 0.0:
+            raise ConfigError(f"tolerances.{name} must not be negative")
     geometry.tolerances = tolerances
 
-    for i, probe in enumerate(config.get("probes", [])):
+    probes = config.get("probes", [])
+    if not isinstance(probes, list):
+        raise ConfigError("'probes' must be a list")
+    for i, probe in enumerate(probes):
         if not isinstance(probe, list) or len(probe) != m + r:
             raise ConfigError(f"probes[{i}] must list {m + r} coordinates")
-        geometry.probes.append(Point(tuple(probe[:m]), tuple(probe[m:])))
+        coords = [_number(v, f"probes[{i}][{k}]")
+                  for k, v in enumerate(probe)]
+        geometry.probes.append(Point(tuple(coords[:m]), tuple(coords[m:])))
 
     return geometry
 

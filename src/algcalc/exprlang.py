@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import jets
-from .errors import ArityError, ExprSyntaxError, UnknownIdentifier
+from .errors import (ArityError, ExprSyntaxError, GeometryError,
+                     UnknownIdentifier)
 from .jets import ScalarField
 
 FUNCTIONS = {
@@ -347,9 +348,19 @@ def variables(node: Expr):
 
 
 def to_field(node: Expr, m: int, r: int) -> ScalarField:
-    """Wrap an expression as a scalar field over (x1..xm, y1..yr)."""
+    """Wrap an expression as a scalar field over (x1..xm, y1..yr).
+
+    An expression without variables is evaluated once, here, into a
+    constant field.  If that evaluation fails, the field stays lazy and
+    raises the same error wherever it is evaluated."""
+    deps = variables(node)
+    if not deps:
+        try:
+            return ScalarField.const(m, r, evaluate(node, ()))
+        except (GeometryError, ArithmeticError, ValueError):
+            pass
     return ScalarField(m, r, lambda coords: evaluate(node, coords),
-                       deps=variables(node))
+                       deps=deps)
 
 
 def parse_field(source: str, m: int, r: int) -> ScalarField:

@@ -307,16 +307,28 @@ class ScalarField:
     objects) and returns a scalar of the same kind.  ``deps`` is the set of
     coordinate indices the field can depend on; partials with respect to any
     other coordinate are exactly zero.
+
+    A field made by ``const`` is a constant field: ``constant`` holds its
+    float value (``None`` for every other field), and calling it returns
+    that value at any coordinates, floats or Taylor objects alike, without
+    a memo.  ``+``, ``-``, ``*``, ``/`` and unary ``-`` of constant fields
+    fold at construction into a constant computed with the float operation
+    the unfolded field would run at each point, so values agree bit for
+    bit.  Division by a constant zero does not fold: it raises
+    ``NonSmoothPoint`` when evaluated, as any division by zero does.
+    Nothing folds when an operand is not constant, so ``0 * x`` stays NaN
+    where ``x`` is infinite and ``0 + x`` keeps the sign of a zero ``x``.
     """
 
-    __slots__ = ("m", "r", "deps", "_fn", "_memo")
+    __slots__ = ("m", "r", "deps", "constant", "_fn", "_memo")
 
-    def __init__(self, m, r, fn, deps=None):
+    def __init__(self, m, r, fn, deps=None, constant=None):
         self.m = m
         self.r = r
         self._fn = fn
         self.deps = frozenset(deps) if deps is not None else None
-        self._memo = {}
+        self.constant = constant
+        self._memo = {} if constant is None else None
 
     @property
     def n(self):
@@ -324,8 +336,7 @@ class ScalarField:
 
     @classmethod
     def const(cls, m, r, value):
-        value = float(value)
-        return cls(m, r, lambda coords: value, deps=())
+        return cls(m, r, None, deps=(), constant=float(value))
 
     @classmethod
     def coordinate(cls, m, r, index):
@@ -334,6 +345,8 @@ class ScalarField:
         return cls(m, r, lambda coords: coords[index], deps=(index,))
 
     def __call__(self, coords):
+        if self.constant is not None:
+            return self.constant
         key = None
         if all(type(c) is float for c in coords):
             key = tuple(coords)
@@ -356,6 +369,9 @@ class ScalarField:
             return ScalarField.const(self.m, self.r, other)
         return NotImplemented
 
+    def _folds(self, other):
+        return self.constant is not None and other.constant is not None
+
     def _merge_deps(self, other):
         if self.deps is None or other.deps is None:
             return None
@@ -365,6 +381,9 @@ class ScalarField:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
+        if self._folds(other):
+            return ScalarField.const(self.m, self.r,
+                                     self.constant + other.constant)
         return ScalarField(self.m, self.r,
                            lambda coords: self(coords) + other(coords),
                            self._merge_deps(other))
@@ -375,6 +394,9 @@ class ScalarField:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
+        if self._folds(other):
+            return ScalarField.const(self.m, self.r,
+                                     self.constant - other.constant)
         return ScalarField(self.m, self.r,
                            lambda coords: self(coords) - other(coords),
                            self._merge_deps(other))
@@ -383,6 +405,8 @@ class ScalarField:
         return (-self) + other
 
     def __neg__(self):
+        if self.constant is not None:
+            return ScalarField.const(self.m, self.r, -self.constant)
         return ScalarField(self.m, self.r, lambda coords: -self(coords),
                            self.deps)
 
@@ -390,6 +414,9 @@ class ScalarField:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
+        if self._folds(other):
+            return ScalarField.const(self.m, self.r,
+                                     self.constant * other.constant)
         return ScalarField(self.m, self.r,
                            lambda coords: self(coords) * other(coords),
                            self._merge_deps(other))
@@ -400,6 +427,9 @@ class ScalarField:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
+        if self._folds(other) and other.constant != 0.0:
+            return ScalarField.const(self.m, self.r,
+                                     self.constant / other.constant)
         return ScalarField(self.m, self.r,
                            lambda coords: t_div(self(coords), other(coords)),
                            self._merge_deps(other))

@@ -124,3 +124,29 @@ def test_frame_inverse_check():
     from algcalc.errors import SingularFrame
     with pytest.raises(SingularFrame):
         bad.check_invertible([Point((1.0, 0.0), (0.0, 0.0))])
+
+
+def test_jacobi_builds_each_bracket_once(monkeypatch):
+    from algcalc import algebroid
+
+    calls = []
+    original = algebroid.bracket
+
+    def counting(A, X1, X2):
+        calls.append(1)
+        return original(A, X1, X2)
+
+    A, _, _ = so3_geometry()
+    pts = box_samples(1, 3, 2, seed=7)
+    basis = basis_sections(A)
+    monkeypatch.setattr(algebroid, "bracket", counting)
+    value, arg = jacobi_residual(A, pts)
+    # 6 basis sections: 36 inner brackets, 216 outer ones
+    assert len(calls) == 36 + 216
+
+    results = [jacobi_residual(A, pts, triple=(a, b, c))
+               for a in basis for b in basis for c in basis]
+    assert len(calls) == 36 + 216 + 6 * 216
+    best = max(v for v, _ in results)
+    first = min(pts.index(p) for v, p in results if v == best)
+    assert (value, arg) == (best, pts[first])

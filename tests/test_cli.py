@@ -202,3 +202,36 @@ def test_deeply_nested_expression_is_config_failure(capsys, tmp_path):
     code, out, err = run_cli(capsys, "metrizability", path)
     assert code == 2 and out == ""
     assert "metric.h[0][0]" in err and "nested deeper than" in err
+
+
+@pytest.mark.parametrize("section, key, value, path", [
+    ("sampling", "x_box", [[0, 1], 5], "sampling.x_box[1]"),
+    ("sampling", "seed", [1], "sampling.seed"),
+    ("sampling", "count", "abc", "sampling.count"),
+    ("sampling", "y_box", [[0], [0]], "sampling.y_box[0]"),
+    ("sampling", "fiber_floor", "x", "sampling.fiber_floor"),
+    (None, "tolerances", {"default": "abc"}, "tolerances.default"),
+    (None, "tolerances", {"structure": -1e-8}, "tolerances.structure"),
+    (None, "probes", [[0, 0, "a", 1]], "probes[0][2]"),
+])
+def test_malformed_config_values_name_their_path(capsys, tmp_path, section,
+                                                 key, value, path):
+    with open(fixture_path("flat.json")) as handle:
+        config = json.load(handle)
+    (config[section] if section else config)[key] = value
+    target = tmp_path / "config.json"
+    target.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "metrizability", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path} must")
+
+
+def test_infinite_constant_structure_fails_with_valid_json(capsys, tmp_path):
+    path = write_config(
+        tmp_path, dims={"m": 1, "p": 2, "r": 1}, anchor=[[0, 0]],
+        structure=[[[0, "1e308*10"], ["-1e308*10", 0]], [[0, 0], [0, 0]]])
+    code, out, _ = run_cli(capsys, "check-structure", path)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    assert payload["residuals"]["jacobi"]["pass"] is False

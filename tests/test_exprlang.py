@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from algcalc.errors import (ArityError, ExprSyntaxError, UnknownIdentifier)
+from algcalc.errors import (ArityError, ExprSyntaxError, GeometryError,
+                            UnknownIdentifier)
 from algcalc.exprlang import (parse, parse_field, to_field, to_source,
                               variables)
 
@@ -90,3 +91,29 @@ def test_print_parse_fixpoint_on_tricky_shapes():
 
 def test_whitespace_is_insignificant():
     assert parse(" x1+y1 ", (2, 2)) == parse("x1 + y1", (2, 2))
+
+
+def test_variable_free_expression_is_constant():
+    cases = (("0.1234", 0.1234), ("0", 0.0), ("-0", -0.0),
+             ("2*pi", 2 * math.pi),
+             ("exp(1) - sin(2)/3", math.exp(1.0) - math.sin(2.0) / 3.0))
+    for source, value in cases:
+        f = parse_field(source, 2, 1)
+        assert f.constant is not None
+        assert f.constant.hex() == value.hex()
+        assert f([0.3, -0.7, 1.1]).hex() == value.hex()
+    assert parse_field("x1 - x1", 2, 1).constant is None
+
+
+def test_failing_constant_expression_raises_when_evaluated():
+    for source, error in (("1/0", "division by zero"),
+                          ("ln(-1)", "non-positive"),
+                          ("exp(1000)", "overflows")):
+        f = parse_field(source, 1, 1)
+        assert f.constant is None
+        with pytest.raises(GeometryError, match=error):
+            f([0.5, 0.5])
+    f = parse_field("sin(1e400)", 1, 1)
+    assert f.constant is None
+    with pytest.raises(ValueError):
+        f([0.5, 0.5])

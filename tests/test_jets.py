@@ -129,3 +129,55 @@ def test_noninteger_power_needs_positive_base():
     assert float(f([4.0])) == pytest.approx(2.0)
     with pytest.raises(NonSmoothPoint):
         float(f([-4.0]))
+
+
+def test_constant_fields_fold_bit_for_bit():
+    m = r = 1
+    values = [0.1, -0.0, 0.0, 3.0, 1e308, float("inf"), float("nan")]
+    for a in values:
+        for b in values:
+            fa, fb = ScalarField.const(m, r, a), ScalarField.const(m, r, b)
+            # the same fields without a constant value never fold
+            la = ScalarField(m, r, lambda coords, a=a: a, deps=())
+            lb = ScalarField(m, r, lambda coords, b=b: b, deps=())
+            pairs = [(fa + fb, la + lb), (fa - fb, la - lb),
+                     (fa * fb, la * lb), (-fa, -la), (fa + 2, la + 2),
+                     (2 - fa, 2 - la), (2.5 * fb, 2.5 * lb)]
+            if b != 0.0:
+                pairs += [(fa / fb, la / lb), (1 / fb, 1 / lb)]
+            for folded, lazy in pairs:
+                assert folded.constant is not None
+                assert lazy.constant is None
+                expected = lazy([0.5, 0.5]).hex()
+                assert folded.constant.hex() == expected
+                assert folded([0.5, 0.5]).hex() == expected
+
+
+def test_constant_field_ignores_coordinates_and_memo():
+    f = ScalarField.const(1, 1, 2.5)
+    assert f([0.1, 0.2]) == 2.5
+    assert eval_jet(f, Point((0.3,), (0.4,)), 2).value == 2.5
+    assert eval_jet(f, Point((0.3,), (0.4,)), 2).first == (0.0, 0.0)
+    assert f._memo is None
+
+
+def test_division_by_constant_zero_raises_at_evaluation():
+    m = r = 1
+    for zero in (0.0, -0.0):
+        f = ScalarField.const(m, r, 1.0) / ScalarField.const(m, r, zero)
+        assert f.constant is None
+        with pytest.raises(NonSmoothPoint, match="division by zero"):
+            f([0.5, 0.5])
+
+
+def test_zero_times_infinite_field_stays_nan():
+    m = r = 1
+    x = parse_field("1e308*10*x1", m, r)
+    zero = ScalarField.const(m, r, 0.0)
+    for f in (zero * x, x * zero, 0 * x, x * 0.0):
+        assert f.constant is None
+        assert math.isnan(f([1.0, 0.5]))
+    # zero plus a field that is -0.0 is 0.0, so 0 + x does not fold to x
+    minus = -parse_field("x1", m, r)
+    assert math.copysign(1.0, minus([0.0, 0.5])) == -1.0
+    assert math.copysign(1.0, (zero + minus)([0.0, 0.5])) == 1.0
