@@ -16,8 +16,8 @@ from typing import Sequence, Tuple
 
 from . import linalg
 from .errors import DimensionMismatch, ShapeError, SingularFrame
-from .jets import Point, ScalarField
-from .sampling import ValidationReport, fields_sweep_max
+from .jets import Point, ScalarField, evaluate_grid, leaves
+from .sampling import ValidationReport, fields_sweep_max, sweep
 
 
 def _check_grid(name, grid, shape):
@@ -45,14 +45,6 @@ def _check_x_only(name, fields, m):
             raise ShapeError(f"{name} must declare its dependence set")
         if any(index >= m for index in f.deps):
             raise ShapeError(f"{name} must depend on base coordinates only")
-
-
-def _flatten(grid):
-    if isinstance(grid, ScalarField):
-        yield grid
-    else:
-        for item in grid:
-            yield from _flatten(item)
 
 
 def contract(shape, sums, start, term):
@@ -94,8 +86,8 @@ class GeneralizedAlgebroid:
             raise DimensionMismatch("dimensions must be positive")
         _check_grid("rho", self.rho, (self.m, self.p))
         _check_grid("L", self.L, (self.p, self.p, self.p))
-        _check_x_only("rho", _flatten(self.rho), self.m)
-        _check_x_only("L", _flatten(self.L), self.m)
+        _check_x_only("rho", leaves(self.rho), self.m)
+        _check_x_only("L", leaves(self.L), self.m)
         object.__setattr__(self, "rho", _freeze(self.rho))
         object.__setattr__(self, "L", _freeze(self.L))
 
@@ -176,13 +168,8 @@ def validate_structure(A: GeneralizedAlgebroid, samples: Sequence[Point],
                        tol: float = 1e-8) -> ValidationReport:
     """Antisymmetry of L and anchor compatibility, as max residuals over
     the samples."""
-    report = ValidationReport()
-
     antisym = [A.L[g][a][b] + A.L[g][b][a]
                for g in range(A.p) for a in range(A.p) for b in range(a, A.p)]
-    value, arg = fields_sweep_max(antisym, samples)
-    report.add("antisymmetry", value, arg, tol)
-
     compat = []
     for alpha in range(A.p):
         for beta in range(alpha + 1, A.p):
@@ -194,8 +181,9 @@ def validate_structure(A: GeneralizedAlgebroid, samples: Sequence[Point],
                     rhs = rhs + A.rho[i][alpha] * A.rho[k][beta].partial(i)
                     rhs = rhs - A.rho[i][beta] * A.rho[k][alpha].partial(i)
                 compat.append(lhs - rhs)
-    value, arg = fields_sweep_max(compat, samples)
-    report.add("anchor_compatibility", value, arg, tol)
+    report = ValidationReport()
+    report.add_all(("antisymmetry", "anchor_compatibility"),
+                   sweep([antisym, compat], samples), tol)
     return report
 
 
@@ -245,18 +233,16 @@ class FrameDiffeoData:
     def __post_init__(self):
         _check_grid("theta", self.theta, (self.m, self.m))
         _check_grid("theta_inv", self.theta_inv, (self.m, self.m))
-        _check_x_only("theta", _flatten(self.theta), self.m)
-        _check_x_only("theta_inv", _flatten(self.theta_inv), self.m)
+        _check_x_only("theta", leaves(self.theta), self.m)
+        _check_x_only("theta_inv", leaves(self.theta_inv), self.m)
         object.__setattr__(self, "theta", _freeze(self.theta))
         object.__setattr__(self, "theta_inv", _freeze(self.theta_inv))
 
     def check_invertible(self, points: Sequence[Point], tol: float = 1e-8):
         """Verify theta_inv is the pointwise inverse of theta at ``points``."""
         for point in points:
-            coords = list(point.coords())
-            theta = [[float(f(coords)) for f in row] for row in self.theta]
-            theta_inv = [[float(f(coords)) for f in row]
-                         for row in self.theta_inv]
+            theta, theta_inv = evaluate_grid([self.theta, self.theta_inv],
+                                             point.coords())
             if linalg.residual_identity(theta_inv, theta) > tol:
                 raise SingularFrame(
                     f"frame and coframe are not inverse at {point}")

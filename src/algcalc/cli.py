@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import dtensor, lagrange
-from .algebroid import (FrameDiffeoData, GeneralizedAlgebroid, _flatten,
-                        from_frame, jacobi_residual, validate_structure)
+from .algebroid import (FrameDiffeoData, GeneralizedAlgebroid, from_frame,
+                        jacobi_residual, validate_structure)
 from .dtensor import DConnection, berwald, fiber_derivatives
 from .errors import ConfigError, GeometryError, ShapeError
 from .exprlang import parse_field
-from .jets import Point, ScalarField
+from .jets import Point, ScalarField, evaluate_grid, leaves
 from .lagrange import (FundamentalFunction, TorsionPair, build_gl_space,
                        finsler_checks, hessian_metric, levi_civita_normal,
                        recover_torsions, regularity_check, torsion_deform)
@@ -35,7 +35,7 @@ from .nlconn import (FrameChange, NonlinearConnection, default_chart,
                      from_ehresmann, transform_chart, transform_gamma,
                      zero_connection)
 from .sampling import (DEFAULT_FIBER_FLOOR, SampleBox, ValidationReport,
-                       fields_sweep_max, generate)
+                       generate, sweep)
 
 SCHEMA_VERSION = 1
 
@@ -147,6 +147,12 @@ def _number(value, where):
 def _integer(value, where):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer")
+    return value
+
+
+def _nonnegative(value, where):
+    if value < 0:
+        raise ConfigError(f"{where} must not be negative")
     return value
 
 
@@ -334,8 +340,8 @@ def load_config(source) -> Geometry:
         geometry.box = SampleBox(x=x_box, y=y_box)
     except GeometryError as err:
         raise ConfigError(f"bad sampling box: {err}") from err
-    geometry.count = _integer(sampling_spec.get("count", 100),
-                              "sampling.count")
+    geometry.count = _nonnegative(_integer(
+        sampling_spec.get("count", 100), "sampling.count"), "sampling.count")
     geometry.seed = _integer(sampling_spec.get("seed", 0), "sampling.seed")
     floor = sampling_spec.get("fiber_floor", DEFAULT_FIBER_FLOOR)
     geometry.fiber_floor = None if floor is None else \
@@ -345,8 +351,7 @@ def load_config(source) -> Geometry:
     if not isinstance(tolerances, dict):
         raise ConfigError("'tolerances' must be an object")
     for name, tol in tolerances.items():
-        if _number(tol, f"tolerances.{name}") < 0.0:
-            raise ConfigError(f"tolerances.{name} must not be negative")
+        _nonnegative(_number(tol, f"tolerances.{name}"), f"tolerances.{name}")
     geometry.tolerances = tolerances
 
     probes = config.get("probes", [])
@@ -417,22 +422,21 @@ def build_connection(geometry: Geometry, kind: str):
     raise ConfigError(f"unknown connection kind '{kind}'")
 
 
-def _block_summary(blocks, samples, probes):
+def _block_summary(blocks, sweeps, probes):
+    """Max, argmax and probe values of each named block, given the
+    block sweeps in the same order."""
+    at_probes = [evaluate_grid([block for _, block in blocks], pt.coords())
+                 for pt in probes]
     out = {}
-    for name, block in blocks:
-        value, arg = fields_sweep_max(_flatten(block), samples)
+    for k, ((name, _), (value, arg)) in enumerate(zip(blocks, sweeps)):
         entry = {"max_abs": value,
                  "argmax": None if arg is None else
                  {"x": list(arg.x), "y": list(arg.y)}}
         if probes:
-            def values_at(grid, coords):
-                if isinstance(grid, ScalarField):
-                    return float(grid(coords))
-                return [values_at(item, coords) for item in grid]
             entry["probes"] = [
                 {"point": {"x": list(pt.x), "y": list(pt.y)},
-                 "values": values_at(block, list(pt.coords()))}
-                for pt in probes]
+                 "values": values[k]}
+                for pt, values in zip(probes, at_probes)]
         out[name] = entry
     return out
 
@@ -486,19 +490,18 @@ def cmd_transform_check(geometry: Geometry, options) -> ValidationReport:
     chart1 = transform_chart(chart0, F)
     primed = transform_gamma(C, F, chart0)
     back = transform_gamma(primed, F.inverse(), chart1)
-    fields = [back.gamma[a][g] - C.gamma[a][g]
-              for a in range(A.r) for g in range(A.p)]
-    value, arg = fields_sweep_max(fields, samples)
-    report.add("gamma_round_trip", value, arg, tol)
+    gamma_trip = [back.gamma[a][g] - C.gamma[a][g]
+                  for a in range(A.r) for g in range(A.p)]
 
     D = _simple_base(C)
     primed_d = dtensor.transform_dconnection(D, F, chart0)
     back_d = dtensor.transform_dconnection(primed_d, F.inverse(), chart1)
-    fields = [got - given for name in ("hh", "hv", "vh", "vv")
-              for got, given in zip(_flatten(getattr(back_d, name)),
-                                    _flatten(getattr(D, name)))]
-    value, arg = fields_sweep_max(fields, samples)
-    report.add("dconnection_round_trip", value, arg, tol)
+    blocks = ("hh", "hv", "vh", "vv")
+    d_trip = [got - given for got, given in zip(
+        leaves([getattr(back_d, name) for name in blocks]),
+        leaves([getattr(D, name) for name in blocks]))]
+    report.add_all(("gamma_round_trip", "dconnection_round_trip"),
+                   sweep([gamma_trip, d_trip], samples), tol)
     return report
 
 
@@ -511,18 +514,18 @@ def cmd_connection(geometry: Geometry, options):
     else:
         blocks = [("hh", connection.hh), ("hv", connection.hv),
                   ("vh", connection.vh), ("vv", connection.vv)]
-    report.metadata["blocks"] = _block_summary(blocks, samples,
-                                               geometry.probes)
-    if options.kind == "torsion-deform":
+    groups = [list(leaves(block)) for _, block in blocks]
+    torsions = geometry.torsions if options.kind == "torsion-deform" else None
+    if torsions is not None:
         recovered = recover_torsions(connection)
-        fields = [got - given
-                  for given_grid, got_grid in (
-                      (geometry.torsions.t, recovered.t),
-                      (geometry.torsions.s, recovered.s))
-                  for got, given in zip(_flatten(got_grid),
-                                        _flatten(given_grid))]
-        value, arg = fields_sweep_max(fields, samples)
-        report.add("torsion_round_trip", value, arg,
+        groups.append([got - given for got, given in zip(
+            leaves([recovered.t, recovered.s]),
+            leaves([torsions.t, torsions.s]))])
+    sweeps = sweep(groups, samples)
+    report.metadata["blocks"] = _block_summary(blocks, sweeps,
+                                               geometry.probes)
+    if torsions is not None:
+        report.add("torsion_round_trip", *sweeps[-1],
                    geometry.tol("torsion", options.tol))
     return report
 
@@ -584,18 +587,35 @@ def _build_parser():
     return parser
 
 
+def _check_flags(args):
+    """Refuse the flag values a config would refuse, naming the flag and
+    the value."""
+    if args.points is not None:
+        _nonnegative(args.points, f"--points {args.points}")
+    if args.tol is not None:
+        where = f"--tol {args.tol:g}"
+        _nonnegative(_number(args.tol, where), where)
+
+
+def _probe_point(raw, m, r):
+    """The point of one ``--probe`` value."""
+    try:
+        values = [_number(float(v), f"--probe {raw}") for v in raw.split(",")]
+    except ValueError:
+        raise ConfigError(f"--probe {raw} must list numbers") from None
+    if len(values) != m + r:
+        raise ConfigError(f"--probe {raw} must list {m + r} coordinates")
+    return Point(tuple(values[:m]), tuple(values[m:]))
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         geometry = load_config(args.config)
-        for raw in args.probe:
-            values = [float(v) for v in raw.split(",")]
-            if len(values) != geometry.m + geometry.r:
-                raise ConfigError(
-                    f"--probe needs {geometry.m + geometry.r} coordinates")
-            geometry.probes.append(Point(tuple(values[:geometry.m]),
-                                         tuple(values[geometry.m:])))
+        geometry.probes.extend(_probe_point(raw, geometry.m, geometry.r)
+                               for raw in args.probe)
         report = COMMANDS[args.command](geometry, args)
     except (ConfigError, GeometryError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")

@@ -13,13 +13,13 @@ tree (``parse(print(parse(s)))`` is a fixpoint).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Tuple
 
 from . import jets
-from .errors import (ArityError, ExprSyntaxError, GeometryError,
-                     UnknownIdentifier)
+from .errors import ArityError, ExprSyntaxError, UnknownIdentifier
 from .jets import ScalarField
 
 FUNCTIONS = {
@@ -34,6 +34,9 @@ FUNCTIONS = {
 }
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": jets.t_div, "^": jets.t_pow}
 
 
 # -- syntax tree -----------------------------------------------------------
@@ -110,9 +113,8 @@ def _tokenize(source):
 
 
 # Deepest syntax tree ``parse`` accepts.  Parsing takes up to eight Python
-# frames per nested level and ``evaluate`` one, on top of the field
-# evaluation stack, so both stay well inside the default recursion limit
-# of 1000.
+# frames per nested level and ``to_field`` one, so both stay well inside
+# the default recursion limit of 1000; evaluation does not recurse.
 MAX_DEPTH = 64
 
 
@@ -302,65 +304,25 @@ def to_source(node: Expr) -> str:
     return f"{left}^{right}"
 
 
-# -- evaluation ------------------------------------------------------------
-
-
-def evaluate(node: Expr, coords):
-    """Evaluate over a scalar list; scalars may be floats or Taylor objects."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
-    if isinstance(node, Var):
-        return coords[node.index]
-    if isinstance(node, Neg):
-        return -evaluate(node.operand, coords)
-    if isinstance(node, Call):
-        fn = FUNCTIONS[node.name][1]
-        return fn(*(evaluate(a, coords) for a in node.args))
-    left = evaluate(node.left, coords)
-    right = evaluate(node.right, coords)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        return jets.t_div(left, right)
-    return jets.t_pow(left, right)
-
-
-def variables(node: Expr):
-    """Set of coordinate indices appearing in the expression."""
-    if isinstance(node, Var):
-        return {node.index}
-    if isinstance(node, Neg):
-        return variables(node.operand)
-    if isinstance(node, Bin):
-        return variables(node.left) | variables(node.right)
-    if isinstance(node, Call):
-        out = set()
-        for a in node.args:
-            out |= variables(a)
-        return out
-    return set()
-
-
 def to_field(node: Expr, m: int, r: int) -> ScalarField:
-    """Wrap an expression as a scalar field over (x1..xm, y1..yr).
+    """The expression as a graph of scalar fields over (x1..xm, y1..yr).
 
-    An expression without variables is evaluated once, here, into a
-    constant field.  If that evaluation fails, the field stays lazy and
-    raises the same error wherever it is evaluated."""
-    deps = variables(node)
-    if not deps:
-        try:
-            return ScalarField.const(m, r, evaluate(node, ()))
-        except (GeometryError, ArithmeticError, ValueError):
-            pass
-    return ScalarField(m, r, lambda coords: evaluate(node, coords),
-                       deps=deps)
+    Every variable-free subexpression folds into a constant here; one that
+    fails to evaluate stays lazy and raises the same error wherever it is
+    evaluated."""
+    if isinstance(node, Num):
+        return ScalarField.const(m, r, node.value)
+    if isinstance(node, Const):
+        return ScalarField.const(m, r, CONSTANTS[node.name])
+    if isinstance(node, Var):
+        return ScalarField.coordinate(m, r, node.index)
+    if isinstance(node, Neg):
+        return -to_field(node.operand, m, r)
+    if isinstance(node, Call):
+        args = tuple(to_field(a, m, r) for a in node.args)
+        return jets.derived(FUNCTIONS[node.name][1], args)
+    return jets.derived(_BINARY[node.op], (to_field(node.left, m, r),
+                                           to_field(node.right, m, r)))
 
 
 def parse_field(source: str, m: int, r: int) -> ScalarField:

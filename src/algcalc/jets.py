@@ -6,14 +6,18 @@ jet in one pass.  A field defined as the partial derivative of another field
 adds a nested one-variable first-order Taylor layer per derivative, so derived
 fields (e.g. a Hessian entry) remain differentiable themselves.  Each layer
 carries a tag so that operands from different layers never merge coefficients.
+
+A scalar field is a node of an expression graph; ``evaluate`` computes a
+list of fields at a point, each node once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, GeometryError, NonSmoothPoint
 
@@ -300,35 +304,41 @@ class Jet:
     third: Optional[tuple] = None
 
 
-class ScalarField:
-    """A scalar function of the m + r bundle coordinates.
+def _opaque(fn, coords):
+    return fn(coords)
 
-    Wraps a callable that accepts a list of scalars (floats or Taylor
-    objects) and returns a scalar of the same kind.  ``deps`` is the set of
-    coordinate indices the field can depend on; partials with respect to any
+
+class ScalarField:
+    """A scalar function of the m + r bundle coordinates: a node of an
+    expression graph.
+
+    ``ScalarField(m, r, fn, deps)`` is an opaque leaf: ``fn`` takes the
+    list of coordinates (floats or Taylor objects) and returns a scalar of
+    the same kind.  Every other node applies ``op`` to the values of its
+    ``args``; when ``param`` is not None, ``op`` takes ``param`` and the
+    coordinates first, as coordinates, partial derivatives, compositions
+    and matrix inverses do.  ``deps`` is the set of coordinate indices the
+    field can depend on (None when unknown); partials with respect to any
     other coordinate are exactly zero.
 
-    A field made by ``const`` is a constant field: ``constant`` holds its
-    float value (``None`` for every other field), and calling it returns
-    that value at any coordinates, floats or Taylor objects alike, without
-    a memo.  ``+``, ``-``, ``*``, ``/`` and unary ``-`` of constant fields
-    fold at construction into a constant computed with the float operation
-    the unfolded field would run at each point, so values agree bit for
-    bit.  Division by a constant zero does not fold: it raises
-    ``NonSmoothPoint`` when evaluated, as any division by zero does.
-    Nothing folds when an operand is not constant, so ``0 * x`` stays NaN
-    where ``x`` is infinite and ``0 + x`` keeps the sign of a zero ``x``.
+    ``constant`` holds the value of a constant field (None otherwise).  A
+    node whose inputs are all constant is computed at construction with
+    the op it would run at each point, so values agree bit for bit; if
+    that raises (division by a constant zero, ``sin(1e400)``), the node
+    stays lazy and raises where it is evaluated.  Nothing folds when an
+    input is not constant, so ``0 * x`` stays NaN where ``x`` is infinite
+    and ``0 + x`` keeps the sign of a zero ``x``.
     """
 
-    __slots__ = ("m", "r", "deps", "constant", "_fn", "_memo")
+    __slots__ = ("m", "r", "param", "deps", "op", "args", "constant",
+                 "_order")
 
-    def __init__(self, m, r, fn, deps=None, constant=None):
-        self.m = m
-        self.r = r
-        self._fn = fn
-        self.deps = frozenset(deps) if deps is not None else None
-        self.constant = constant
-        self._memo = {} if constant is None else None
+    def __init__(self, m, r, param, deps=None, op=_opaque, args=(),
+                 constant=None):
+        self.m, self.r, self.param = m, r, param
+        self.deps = None if deps is None else frozenset(deps)
+        self.op, self.args, self.constant = op, args, constant
+        self._order = None   # set by ``evaluate``
 
     @property
     def n(self):
@@ -336,109 +346,53 @@ class ScalarField:
 
     @classmethod
     def const(cls, m, r, value):
-        return cls(m, r, None, deps=(), constant=float(value))
+        return cls(m, r, None, (), None, constant=float(value))
 
     @classmethod
     def coordinate(cls, m, r, index):
         if not 0 <= index < m + r:
             raise DimensionMismatch(f"coordinate index {index} out of range")
-        return cls(m, r, lambda coords: coords[index], deps=(index,))
+        return cls(m, r, operator.itemgetter(index), (index,))
 
     def __call__(self, coords):
-        if self.constant is not None:
-            return self.constant
-        key = None
-        if all(type(c) is float for c in coords):
-            key = tuple(coords)
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-        out = self._fn(coords)
-        if key is not None:
-            self._memo[key] = out
-        return out
+        return evaluate([self], coords)[0]
 
     # -- pointwise algebra -------------------------------------------------
 
-    def _check(self, other):
+    def _binary(self, op, other, reflected=False):
         if isinstance(other, ScalarField):
             if (other.m, other.r) != (self.m, self.r):
                 raise DimensionMismatch("fields live over different coordinates")
-            return other
-        if _is_number(other):
-            return ScalarField.const(self.m, self.r, other)
-        return NotImplemented
-
-    def _folds(self, other):
-        return self.constant is not None and other.constant is not None
-
-    def _merge_deps(self, other):
-        if self.deps is None or other.deps is None:
-            return None
-        return self.deps | other.deps
+        elif _is_number(other):
+            other = ScalarField.const(self.m, self.r, other)
+        else:
+            return NotImplemented
+        return derived(op, (other, self) if reflected else (self, other))
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._folds(other):
-            return ScalarField.const(self.m, self.r,
-                                     self.constant + other.constant)
-        return ScalarField(self.m, self.r,
-                           lambda coords: self(coords) + other(coords),
-                           self._merge_deps(other))
+        return self._binary(operator.add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._folds(other):
-            return ScalarField.const(self.m, self.r,
-                                     self.constant - other.constant)
-        return ScalarField(self.m, self.r,
-                           lambda coords: self(coords) - other(coords),
-                           self._merge_deps(other))
+        return self._binary(operator.sub, other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        if self.constant is not None:
-            return ScalarField.const(self.m, self.r, -self.constant)
-        return ScalarField(self.m, self.r, lambda coords: -self(coords),
-                           self.deps)
+        return derived(operator.neg, (self,))
 
     def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._folds(other):
-            return ScalarField.const(self.m, self.r,
-                                     self.constant * other.constant)
-        return ScalarField(self.m, self.r,
-                           lambda coords: self(coords) * other(coords),
-                           self._merge_deps(other))
+        return self._binary(operator.mul, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._folds(other) and other.constant != 0.0:
-            return ScalarField.const(self.m, self.r,
-                                     self.constant / other.constant)
-        return ScalarField(self.m, self.r,
-                           lambda coords: t_div(self(coords), other(coords)),
-                           self._merge_deps(other))
+        return self._binary(t_div, other)
 
     def __rtruediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+        return self._binary(t_div, other, reflected=True)
 
     # -- differentiation ---------------------------------------------------
 
@@ -448,18 +402,61 @@ class ScalarField:
             raise DimensionMismatch(f"coordinate index {index} out of range")
         if self.deps is not None and index not in self.deps:
             return ScalarField.const(self.m, self.r, 0.0)
-        base = self
+        return ScalarField(self.m, self.r, (self, index), self.deps,
+                           _partial_at)
 
-        def fn(coords):
-            tag = next(_TAG)
-            lifted = [Taylor.lift(1, 1, tag, c) for c in coords]
-            lifted[index] = Taylor.seed(1, 1, tag, 0, coords[index])
-            out = base(lifted)
-            if isinstance(out, Taylor) and out.tag == tag:
-                return out.coeffs.get((1,), 0.0)
-            return 0.0
 
-        return ScalarField(self.m, self.r, fn, self.deps)
+# Errors that leave a node over constant inputs unfolded; it raises them
+# again where it is evaluated.
+_FOLD_ERRORS = (GeometryError, ArithmeticError, ValueError)
+
+
+def merge_deps(fields):
+    """Union of the dependence sets of ``fields``; None if one is unknown."""
+    if any(f.deps is None for f in fields):
+        return None
+    return frozenset().union(*(f.deps for f in fields))
+
+
+# ``deps`` of ``derived`` when the node depends on what its arguments do
+_MERGED = object()
+
+
+def derived(op, args, param=None, deps=_MERGED):
+    """The node ``op`` over the fields ``args`` (at least one), folded into
+    a constant when every argument is constant and the op succeeds."""
+    values = []
+    for a in args:
+        if a.constant is None:
+            break
+        values.append(a.constant)
+    else:
+        try:
+            value = op(*values) if param is None else op(param, (), *values)
+        except _FOLD_ERRORS:
+            pass
+        else:
+            return ScalarField(args[0].m, args[0].r, None, (),
+                               constant=value)
+    if deps is _MERGED:
+        deps = merge_deps(args)
+    return ScalarField(args[0].m, args[0].r, param, deps, op, tuple(args))
+
+
+def _partial_at(spec, coords):
+    """One order-1 Taylor layer with a fresh tag, seeded along ``index``."""
+    base, index = spec
+    tag = next(_TAG)
+    lifted = [Taylor.lift(1, 1, tag, c) for c in coords]
+    lifted[index] = Taylor.seed(1, 1, tag, 0, coords[index])
+    out = evaluate([base], lifted)[0]
+    if isinstance(out, Taylor) and out.tag == tag:
+        return out.coeffs.get((1,), 0.0)
+    return 0.0
+
+
+def _compose_at(outer, coords, *inner):
+    return evaluate([outer], inner)[0]
 
 
 def compose(outer: ScalarField, inner: Sequence[ScalarField]) -> ScalarField:
@@ -470,13 +467,86 @@ def compose(outer: ScalarField, inner: Sequence[ScalarField]) -> ScalarField:
     """
     if len(inner) != outer.n:
         raise DimensionMismatch("compose needs one inner field per coordinate")
-    m, r = inner[0].m, inner[0].r
     deps = None
     if outer.deps is not None and all(f.deps is not None for f in inner):
-        deps = frozenset().union(*(inner[j].deps for j in outer.deps)) \
-            if outer.deps else frozenset()
-    return ScalarField(m, r, lambda coords: outer([f(coords) for f in inner]),
-                       deps)
+        deps = merge_deps([inner[j] for j in outer.deps])
+    return derived(_compose_at, tuple(inner), outer, deps)
+
+
+def _topological(root):
+    """The nodes ``root`` reaches through ``args``, each once, depth first
+    and left to right, every node after its arguments.  ``root`` itself is
+    left out, so a field keeping its order does not refer to itself."""
+    order, seen = [], {root}
+    stack = [(root, iter(root.args))]
+    while stack:
+        node, args = stack[-1]
+        for a in args:
+            if a not in seen:
+                seen.add(a)
+                stack.append((a, iter(a.args)))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return tuple(order[:-1])
+
+
+def evaluate(fields, coords):
+    """Values of ``fields`` at ``coords`` (floats or Taylor objects).
+
+    Every node reachable from the list is computed once, depth first and
+    left to right, in the order the fields come.  A partial derivative or a
+    composition runs a nested call on its derived coordinates.  A field
+    evaluated on its own keeps that order for its next call; ``pack``
+    makes one field of many.
+    """
+    root = fields[0] if len(fields) == 1 else pack(fields)
+    if root._order is None:
+        root._order = _topological(root)
+    values = {}
+    value_of = values.__getitem__
+    for node in itertools.chain(root._order, (root,)):
+        if node.constant is not None:
+            values[node] = node.constant
+        elif node.param is None:
+            values[node] = node.op(*map(value_of, node.args))
+        else:
+            values[node] = node.op(node.param, coords,
+                                   *map(value_of, node.args))
+    return [values[f] for f in fields]
+
+
+def pack(fields):
+    """One node whose value is the tuple of the values of ``fields``."""
+    m, r = (fields[0].m, fields[0].r) if fields else (0, 0)
+    return ScalarField(m, r, None, None, _tuple, tuple(fields))
+
+
+def _tuple(*values):
+    return values
+
+
+def leaves(grid):
+    """The fields of a field or a nested list of fields, in row-major order."""
+    if isinstance(grid, ScalarField):
+        yield grid
+    else:
+        for item in grid:
+            yield from leaves(item)
+
+
+def evaluate_grid(grid, coords):
+    """Float values of a field or a nested list of fields, shaped like
+    ``grid``, from one ``evaluate`` call."""
+    values = iter(evaluate(list(leaves(grid)), coords))
+
+    def build(item):
+        if isinstance(item, ScalarField):
+            return float(next(values))
+        return [build(sub) for sub in item]
+
+    return build(grid)
 
 
 def eval_jet(field: ScalarField, point: Point, order: int) -> Jet:
@@ -494,43 +564,32 @@ def eval_jet(field: ScalarField, point: Point, order: int) -> Jet:
     tag = next(_TAG)
     seeds = [Taylor.seed(n, order, tag, i, coords[i]) for i in range(n)]
     out = field(seeds)
+    if not (isinstance(out, Taylor) and out.tag == tag):
+        out = Taylor.lift(n, order, tag, out)
 
-    def coeff(exps):
-        if isinstance(out, Taylor) and out.tag == tag:
-            return out.coeffs.get(tuple(exps), 0.0)
-        return 0.0
-
-    def deriv(*indices):
+    def deriv(indices):
         exps = [0] * n
         for i in indices:
             exps[i] += 1
         factor = 1.0
         for e in exps:
             factor *= math.factorial(e)
-        return coeff(exps) * factor
+        return out.coeffs.get(tuple(exps), 0.0) * factor
 
-    value = float(out.value() if isinstance(out, Taylor) and out.tag == tag
-                  else out)
-    first = tuple(deriv(i) for i in range(n))
-    second = third = None
-    if order >= 2:
-        # build from canonical (sorted) index pairs so symmetry is exact
-        pair = {}
-        for i in range(n):
-            for j in range(i, n):
-                pair[(i, j)] = deriv(i, j)
-        second = tuple(tuple(pair[tuple(sorted((i, j)))] for j in range(n))
-                       for i in range(n))
-    if order >= 3:
-        trip = {}
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    trip[(i, j, k)] = deriv(i, j, k)
-        third = tuple(tuple(tuple(trip[tuple(sorted((i, j, k)))]
-                                  for k in range(n)) for j in range(n))
-                      for i in range(n))
-    return Jet(order, value, first, second, third)
+    def table(k):
+        # every entry reads its sorted index tuple, so symmetry is exact
+        values = {idx: deriv(idx) for idx in
+                  itertools.combinations_with_replacement(range(n), k)}
+
+        def build(prefix):
+            if len(prefix) == k:
+                return values[tuple(sorted(prefix))]
+            return tuple(build(prefix + (i,)) for i in range(n))
+
+        return build(())
+
+    return Jet(order, float(out.value()),
+               *(table(k) if k <= order else None for k in (1, 2, 3)))
 
 
 def fd_partial(field: ScalarField, point: Point, index: int,

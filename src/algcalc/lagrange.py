@@ -15,7 +15,7 @@ from . import linalg
 from .algebroid import GeneralizedAlgebroid, _check_grid, _freeze, contract
 from .dtensor import DConnection
 from .errors import DimensionMismatch, ShapeError, SingularMetric
-from .jets import Point, ScalarField
+from .jets import Point, ScalarField, evaluate_grid
 from .metric import MetricStructure, _add_half_raised, \
     _koszul_christoffel, _vertical_christoffel
 from .nlconn import NonlinearConnection
@@ -66,9 +66,7 @@ def regularity_check(block, samples: Sequence[Point],
     report = ValidationReport()
 
     def rank_defect(point):
-        coords = list(point.coords())
-        return r - linalg.rank([[float(f(coords)) for f in row]
-                                for row in block], tol)
+        return r - linalg.rank(evaluate_grid(block, point.coords()), tol)
 
     defect, arg = sweep_max(rank_defect, samples)
     report.add("hessian_rank_defect", float(defect), arg, 0.0)
@@ -107,9 +105,7 @@ def finsler_checks(fund: FundamentalFunction, samples: Sequence[Point],
     block = hessian_metric(fund)
 
     def indefinite(point):
-        coords = list(point.coords())
-        pivots = linalg.sym_pivots([[float(f(coords)) for f in row]
-                                    for row in block])
+        pivots = linalg.sym_pivots(evaluate_grid(block, point.coords()))
         return 0.0 if all(p > RANK_TOL for p in pivots) else 1.0
 
     value, arg = sweep_max(indefinite, samples)

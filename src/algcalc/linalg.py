@@ -9,15 +9,17 @@ part of each entry.
 from __future__ import annotations
 
 import math
+import operator
 
-from .jets import scalar_value
+from .jets import derived, scalar_value
 
 PIVOT_TOL = 1e-12
 RANK_TOL = 1e-10
 
 
-class SingularMatrixError(Exception):
-    """All candidate pivots fell below the relative tolerance."""
+class SingularMatrixError(ArithmeticError):
+    """All candidate pivots fell below the relative tolerance, or an entry
+    is not finite."""
 
 
 def _scale(rows):
@@ -148,42 +150,33 @@ def sym_pivots(rows, tol=RANK_TOL):
     return pivots
 
 
+def _inverse_at(spec, coords, *entries):
+    """Row-major entries of the inverse of the n x n matrix ``entries``."""
+    n, m, tol, exc = spec
+    try:
+        inv = invert([entries[i * n:(i + 1) * n] for i in range(n)], tol)
+    except SingularMatrixError as err:
+        point = [scalar_value(c) for c in coords]
+        raise (exc or SingularMatrixError)(
+            f"{err} at x={point[:m]}, y={point[m:]}") from err
+    return [v for row in inv for v in row]
+
+
 def field_matrix_inverse(mat, m, r, tol=PIVOT_TOL, exc=None):
     """Entry fields of the pointwise inverse of a matrix of scalar fields.
 
-    Evaluating an entry inverts the whole matrix at that point (cached for
-    plain float coordinates); with Taylor coordinates the inverse carries
+    Every entry reads one inverse node, so an ``evaluate`` call inverts the
+    matrix once at its point; with Taylor coordinates the inverse carries
     derivative information.  ``exc``, if given, replaces
     SingularMatrixError at evaluation time; either way the message names the
     point.
     """
-    from .jets import ScalarField
-
     n = len(mat)
-    cache = {}
-
-    def inverse_at(coords):
-        key = tuple(coords) if all(type(c) is float for c in coords) else None
-        if key is not None and key in cache:
-            return cache[key]
-        values = [[f(coords) for f in row] for row in mat]
-        try:
-            inv = invert(values, tol)
-        except SingularMatrixError as err:
-            point = [scalar_value(c) for c in coords]
-            raise (exc or SingularMatrixError)(
-                f"{err} at x={point[:m]}, y={point[m:]}") from err
-        if key is not None:
-            cache[key] = inv
-        return inv
-
-    deps = None
-    entry_deps = [f.deps for row in mat for f in row]
-    if all(d is not None for d in entry_deps):
-        deps = frozenset().union(*entry_deps) if entry_deps else frozenset()
-    return [[ScalarField(m, r,
-                         lambda coords, i=i, j=j: inverse_at(coords)[i][j],
-                         deps)
+    if n == 0:
+        return []
+    inverse = derived(_inverse_at, [f for row in mat for f in row],
+                      (n, m, tol, exc))
+    return [[derived(operator.itemgetter(i * n + j), (inverse,))
              for j in range(n)] for i in range(n)]
 
 

@@ -5,7 +5,7 @@ A metric structure pairs a symmetric horizontal block ``gh[alpha][beta]``
 with a symmetric vertical block ``gv[a][b]``, both scalar fields over the
 bundle coordinates.  Symmetric entries share the same field object, so the
 stored blocks equal their transposes exactly.  Inverses are computed
-pointwise by pivoted elimination and cached per point.
+pointwise by pivoted elimination, once per ``evaluate`` call.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from typing import Sequence
 
 from . import linalg
 from .algebroid import GeneralizedAlgebroid, _check_grid, _check_x_only, \
-    _flatten, contract
+    contract
 from .dtensor import DConnection, DTensorField, IndexSignature, DOWN, \
     HORIZONTAL, VERTICAL, fiber_derivatives, h_cov_deriv, v_cov_deriv
 from .errors import SingularMetric
-from .jets import Point, ScalarField
+from .jets import Point, ScalarField, evaluate_grid, leaves
 from .nlconn import NonlinearConnection, delta_action
-from .sampling import ValidationReport, fields_sweep_max
+from .sampling import ValidationReport, sweep
 
 
 def _symmetrize(name, block):
@@ -58,7 +58,7 @@ class MetricStructure:
         for flag, name, block in ((self.h_riemannian, "gh", self.gh),
                                   (self.v_riemannian, "gv", self.gv)):
             if flag:
-                _check_x_only(f"{name} flagged Riemannian", _flatten(block),
+                _check_x_only(f"{name} flagged Riemannian", leaves(block),
                               A.m)
         object.__setattr__(self, "_gh_inv", None)
         object.__setattr__(self, "_gv_inv", None)
@@ -92,23 +92,16 @@ class MetricStructure:
     def inverse_at(self, point: Point):
         """Numeric inverses of both blocks at a point, with the residual
         max |g.g_inv - id| for each."""
-        coords = list(point.coords())
-        out = {}
-        for name, block, inv in (("h", self.gh, self.gh_inv()),
-                                 ("v", self.gv, self.gv_inv())):
-            g = [[float(f(coords)) for f in row] for row in block]
-            gi = [[float(f(coords)) for f in row] for row in inv]
-            out[name] = (gi, linalg.residual_identity(g, gi))
-        return out
+        values = evaluate_grid([[self.gh, self.gh_inv()],
+                                [self.gv, self.gv_inv()]], point.coords())
+        return {name: (gi, linalg.residual_identity(g, gi))
+                for name, (g, gi) in zip("hv", values)}
 
     def signature_at(self, point: Point):
         """Pivot-sign signature (pos, neg, null) of each block at a point."""
-        coords = list(point.coords())
-        out = {}
-        for name, block in (("h", self.gh), ("v", self.gv)):
-            values = [[float(f(coords)) for f in row] for row in block]
-            out[name] = linalg.signature(values)
-        return out
+        values = evaluate_grid([self.gh, self.gv], point.coords())
+        return {name: linalg.signature(block)
+                for name, block in zip("hv", values)}
 
     def h_tensor(self) -> DTensorField:
         sig = IndexSignature(((HORIZONTAL, DOWN), (HORIZONTAL, DOWN)))
@@ -125,13 +118,11 @@ def metrizability_residual(D: DConnection, G: MetricStructure,
     """The four covariant derivatives of the metric blocks, as max residuals
     over the samples.  All four vanish iff the connection is metrical."""
     gh, gv = G.h_tensor(), G.v_tensor()
+    names = ("gh_h_deriv", "gv_h_deriv", "gh_v_deriv", "gv_v_deriv")
+    tensors = (h_cov_deriv(D, gh), h_cov_deriv(D, gv), v_cov_deriv(D, gh),
+               v_cov_deriv(D, gv))
     report = ValidationReport()
-    for name, tensor in (("gh_h_deriv", h_cov_deriv(D, gh)),
-                         ("gv_h_deriv", h_cov_deriv(D, gv)),
-                         ("gh_v_deriv", v_cov_deriv(D, gh)),
-                         ("gv_v_deriv", v_cov_deriv(D, gv))):
-        value, arg = fields_sweep_max(tensor.fields(), samples)
-        report.add(name, value, arg, tol)
+    report.add_all(names, sweep([t.fields() for t in tensors], samples), tol)
     return report
 
 
@@ -239,11 +230,7 @@ class ObataPair:
 def obata_pair(G: MetricStructure, point: Point) -> ObataPair:
     """O = (id - g-transpose)/2 and O* = (id + g-transpose)/2 on each
     family; they sum to the identity on (1,1)-tensors exactly."""
-    coords = list(point.coords())
-
-    def build(block, inv_block, n):
-        g = [[float(f(coords)) for f in row] for row in block]
-        gi = [[float(f(coords)) for f in row] for row in inv_block]
+    def build(g, gi, n):
         o = [[[[0.0] * n for _ in range(n)] for _ in range(n)]
              for _ in range(n)]
         o_star = [[[[0.0] * n for _ in range(n)] for _ in range(n)]
@@ -263,8 +250,10 @@ def obata_pair(G: MetricStructure, point: Point) -> ObataPair:
                         o_star[a][e][b][c] = star
         return o, o_star
 
-    oh, oh_star = build(G.gh, G.gh_inv(), G.p)
-    ov, ov_star = build(G.gv, G.gv_inv(), G.r)
+    (gh, gh_inv), (gv, gv_inv) = evaluate_grid(
+        [[G.gh, G.gh_inv()], [G.gv, G.gv_inv()]], point.coords())
+    oh, oh_star = build(gh, gh_inv, G.p)
+    ov, ov_star = build(gv, gv_inv, G.r)
     return ObataPair(oh=oh, oh_star=oh_star, ov=ov, ov_star=ov_star)
 
 

@@ -21,10 +21,10 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .algebroid import GeneralizedAlgebroid, _check_grid, _check_x_only, \
-    _flatten, _freeze, contract
+    _freeze, contract
 from .errors import DimensionMismatch, IndexOutOfRange, ShapeError, \
     SingularTransition
-from .jets import Point, ScalarField, compose
+from .jets import Point, ScalarField, compose, evaluate_grid, leaves
 from .sampling import ValidationReport, fields_sweep_max, sweep_max
 
 
@@ -53,8 +53,7 @@ class NonlinearConnection:
         return self.algebroid.r
 
     def gamma_at(self, point: Point):
-        coords = list(point.coords())
-        return [[float(f(coords)) for f in row] for row in self.gamma]
+        return evaluate_grid(self.gamma, point.coords())
 
 
 def zero_connection(A: GeneralizedAlgebroid) -> NonlinearConnection:
@@ -188,7 +187,7 @@ class FrameChange:
         _check_grid("basemap_inv", self.basemap_inv, (self.m,))
         for name in ("lam", "lam_inv", "mmat", "mmat_inv", "basemap",
                      "basemap_inv"):
-            _check_x_only(name, _flatten(getattr(self, name)), self.m)
+            _check_x_only(name, leaves(getattr(self, name)), self.m)
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
@@ -221,10 +220,8 @@ class FrameChange:
         report = ValidationReport()
 
         def residual(mat, inv, point):
-            coords = list(point.coords())
             return linalg.residual_identity(
-                [[float(f(coords)) for f in row] for row in mat],
-                [[float(f(coords)) for f in row] for row in inv])
+                *evaluate_grid([mat, inv], point.coords()))
 
         for name, mat, inv in (("lam", self.lam, self.lam_inv),
                                ("mmat", self.mmat, self.mmat_inv)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .errors import EmptyBox
-from .jets import Point
+from .jets import Point, evaluate, pack
 
 DEFAULT_FIBER_FLOOR = 1e-3
 _MAX_ATTEMPTS = 1000
@@ -107,6 +107,11 @@ class ValidationReport:
     def add(self, name, value, argmax, tol):
         self.checks.append(ResidualCheck(name, value, argmax, tol))
 
+    def add_all(self, names, sweeps, tol):
+        """One check per name from the (max, argmax) pairs of ``sweep``."""
+        for name, (value, argmax) in zip(names, sweeps):
+            self.add(name, value, argmax, tol)
+
     def extend(self, other: "ValidationReport"):
         self.checks.extend(other.checks)
 
@@ -145,13 +150,38 @@ def sweep_max(fn, items):
     return best, arg
 
 
+def sweep(groups, points):
+    """``fields_sweep_max`` of each group of fields over the same points:
+    one (max, argmax point) per group.
+
+    Each point takes one ``evaluate`` call over the fields of every group
+    still open, so a node shared by fields of several groups runs once per
+    point.  A group whose max is NaN is settled and not evaluated at later
+    points.
+    """
+    groups = [list(group) for group in groups]
+    results = [(0.0, None)] * len(groups)
+    live = list(range(len(groups)))
+    packed = None   # one node over the live fields; keeps its node order
+    for point in points:
+        if packed is None:
+            if not live:
+                break
+            packed = pack([f for k in live for f in groups[k]])
+        values = iter(evaluate([packed], point.coords())[0])
+        for k in list(live):
+            magnitude = sweep_max(float, [next(values) for _ in groups[k]])[0]
+            best, arg = results[k]
+            if math.isnan(magnitude):
+                live.remove(k)
+                packed = None
+                results[k] = magnitude, point
+            elif arg is None or magnitude > best:
+                results[k] = magnitude, point
+    return results
+
+
 def fields_sweep_max(fields, points):
     """Max |field(point)| over every field in a flat iterable and every
     point.  Returns (max, argmax_point)."""
-    fields = list(fields)
-
-    def at(point):
-        coords = list(point.coords())
-        return sweep_max(lambda f: float(f(coords)), fields)[0]
-
-    return sweep_max(at, points)
+    return sweep([fields], points)[0]

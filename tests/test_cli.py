@@ -213,6 +213,7 @@ def test_deeply_nested_expression_is_config_failure(capsys, tmp_path):
     (None, "tolerances", {"default": "abc"}, "tolerances.default"),
     (None, "tolerances", {"structure": -1e-8}, "tolerances.structure"),
     (None, "probes", [[0, 0, "a", 1]], "probes[0][2]"),
+    ("sampling", "count", -1, "sampling.count"),
 ])
 def test_malformed_config_values_name_their_path(capsys, tmp_path, section,
                                                  key, value, path):
@@ -235,3 +236,19 @@ def test_infinite_constant_structure_fails_with_valid_json(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["pass"] is False
     assert payload["residuals"]["jacobi"]["pass"] is False
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--points", "-1"], "--points -1 must not be negative"),
+    (["--probe=nan,0,1,1"], "--probe nan,0,1,1 must be a finite number"),
+    (["--probe=a,0,1,1"], "--probe a,0,1,1 must list numbers"),
+    (["--probe=0,1,1"], "--probe 0,1,1 must list 4 coordinates"),
+    (["--tol", "inf"], "--tol inf must be a finite number"),
+    (["--tol", "nan"], "--tol nan must be a finite number"),
+    (["--tol", "-1"], "--tol -1 must not be negative"),
+])
+def test_malformed_flag_values_name_the_flag(capsys, flags, message):
+    code, out, err = run_cli(capsys, "connection", "canonical",
+                             fixture_path("flat.json"), *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

@@ -4,8 +4,7 @@ import pytest
 
 from algcalc.errors import (ArityError, ExprSyntaxError, GeometryError,
                             UnknownIdentifier)
-from algcalc.exprlang import (parse, parse_field, to_field, to_source,
-                              variables)
+from algcalc.exprlang import parse, parse_field, to_field, to_source
 
 
 def roundtrip(source, dims=(2, 2)):
@@ -31,7 +30,7 @@ def test_variables_and_constants():
     f = parse_field("pi*x1 + e*y2", 2, 2)
     assert float(f([1.0, 0.0, 0.0, 1.0])) == pytest.approx(math.pi + math.e)
     tree = parse("x2*y1", (2, 2))
-    assert variables(tree) == {1, 2}
+    assert to_field(tree, 2, 2).deps == {1, 2}
 
 
 def test_unknown_variable_reports_offset():

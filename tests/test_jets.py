@@ -158,7 +158,6 @@ def test_constant_field_ignores_coordinates_and_memo():
     assert f([0.1, 0.2]) == 2.5
     assert eval_jet(f, Point((0.3,), (0.4,)), 2).value == 2.5
     assert eval_jet(f, Point((0.3,), (0.4,)), 2).first == (0.0, 0.0)
-    assert f._memo is None
 
 
 def test_division_by_constant_zero_raises_at_evaluation():
@@ -181,3 +180,21 @@ def test_zero_times_infinite_field_stays_nan():
     minus = -parse_field("x1", m, r)
     assert math.copysign(1.0, minus([0.0, 0.5])) == -1.0
     assert math.copysign(1.0, (zero + minus)([0.0, 0.5])) == 1.0
+
+
+def counted_leaf(m, r, calls):
+    """An opaque field x1 that counts its evaluations in ``calls``."""
+    def fn(coords):
+        calls.append(1)
+        return coords[0]
+    return ScalarField(m, r, fn, deps=(0,))
+
+
+def test_jet_evaluates_a_shared_leaf_once():
+    calls = []
+    g = counted_leaf(1, 1, calls)
+    jet = eval_jet(g * g + g, Point((0.5,), (0.2,)), 2)
+    assert len(calls) == 1
+    assert jet.value == 0.75
+    assert jet.first == (2.0, 0.0)
+    assert jet.second[0][0] == 2.0

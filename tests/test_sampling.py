@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -6,7 +8,7 @@ from algcalc.errors import EmptyBox
 from algcalc.exprlang import parse_field
 from algcalc.jets import ScalarField
 from algcalc.sampling import (SampleBox, ValidationReport, fields_sweep_max,
-                              generate, sweep_max)
+                              generate, sweep, sweep_max)
 
 
 def unit_box(m=2, r=2):
@@ -96,3 +98,53 @@ def test_report_accessors_and_serialization():
     assert payload["residuals"]["alpha"]["pass"] is True
     with pytest.raises(KeyError):
         report["missing"]
+
+
+def test_sweep_evaluates_a_shared_leaf_once_per_point():
+    calls = []
+
+    def fn(coords):
+        calls.append(1)
+        return coords[0]
+
+    leaf = ScalarField(1, 1, fn, deps=(0,))
+    y = parse_field("y1", 1, 1)
+    pts = generate(unit_box(1, 1), 7, seed=5, fiber_floor=None)
+    (first, arg1), (second, arg2) = sweep([[leaf * y], [leaf + y]], pts)
+    assert len(calls) == len(pts)
+    assert (first, arg1) == fields_sweep_max([leaf * y], pts)
+    assert (second, arg2) == fields_sweep_max([leaf + y], pts)
+
+
+def test_nan_group_is_settled_and_others_sweep_on():
+    pts = generate(unit_box(1, 1), 3, seed=6, fiber_floor=None)
+    calls = []
+
+    def fn(coords):
+        calls.append(1)
+        return math.nan if coords[0] == pts[1].x[0] else 0.5
+
+    bad = ScalarField(1, 1, fn, deps=(0,))
+    x = parse_field("x1", 1, 1)
+    (value, arg), (good, good_arg) = sweep([[bad], [x]], pts)
+    assert math.isnan(value) and arg == pts[1]
+    assert len(calls) == 2
+    assert (good, good_arg) == fields_sweep_max([x], pts)
+
+
+def test_sweep_memory_does_not_grow_with_points():
+    pts = generate(unit_box(1, 1), 440, seed=7, fiber_floor=None)
+    field = parse_field("x1*y1 + sin(x1)*exp(y1)", 1, 1)
+    fields = [field.partial(0), field]
+    # 40 points first, so free lists and cached node orders are in place
+    fields_sweep_max(fields, pts[:40])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fields_sweep_max(fields, pts[40:])
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 4096
