@@ -308,6 +308,21 @@ def _opaque(fn, coords):
     return fn(coords)
 
 
+def _arithmetic(op, reflected=False):
+    """The method ``field <op> other`` (``other <op> field`` if
+    ``reflected``), with a number taken as a constant field."""
+    def method(self, other):
+        if isinstance(other, ScalarField):
+            if (other.m, other.r) != (self.m, self.r):
+                raise DimensionMismatch("fields live over different coordinates")
+        elif _is_number(other):
+            other = ScalarField.const(self.m, self.r, other)
+        else:
+            return NotImplemented
+        return derived(op, (other, self) if reflected else (self, other))
+    return method
+
+
 class ScalarField:
     """A scalar function of the m + r bundle coordinates: a node of an
     expression graph.
@@ -359,40 +374,17 @@ class ScalarField:
 
     # -- pointwise algebra -------------------------------------------------
 
-    def _binary(self, op, other, reflected=False):
-        if isinstance(other, ScalarField):
-            if (other.m, other.r) != (self.m, self.r):
-                raise DimensionMismatch("fields live over different coordinates")
-        elif _is_number(other):
-            other = ScalarField.const(self.m, self.r, other)
-        else:
-            return NotImplemented
-        return derived(op, (other, self) if reflected else (self, other))
-
-    def __add__(self, other):
-        return self._binary(operator.add, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(operator.sub, other)
+    __add__ = __radd__ = _arithmetic(operator.add)
+    __sub__ = _arithmetic(operator.sub)
+    __mul__ = __rmul__ = _arithmetic(operator.mul)
+    __truediv__ = _arithmetic(t_div)
+    __rtruediv__ = _arithmetic(t_div, reflected=True)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
         return derived(operator.neg, (self,))
-
-    def __mul__(self, other):
-        return self._binary(operator.mul, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(t_div, other)
-
-    def __rtruediv__(self, other):
-        return self._binary(t_div, other, reflected=True)
 
     # -- differentiation ---------------------------------------------------
 
@@ -413,9 +405,13 @@ _FOLD_ERRORS = (GeometryError, ArithmeticError, ValueError)
 
 def merge_deps(fields):
     """Union of the dependence sets of ``fields``; None if one is unknown."""
-    if any(f.deps is None for f in fields):
-        return None
-    return frozenset().union(*(f.deps for f in fields))
+    deps = frozenset()
+    for f in fields:
+        if f.deps is None:
+            return None
+        if not f.deps <= deps:
+            deps = deps | f.deps if deps else f.deps
+    return deps
 
 
 # ``deps`` of ``derived`` when the node depends on what its arguments do
