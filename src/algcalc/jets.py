@@ -327,9 +327,9 @@ class ScalarField:
     """A scalar function of the m + r bundle coordinates: a node of an
     expression graph.
 
-    ``ScalarField(m, r, fn, deps)`` is an opaque leaf: ``fn`` takes the
-    list of coordinates (floats or Taylor objects) and returns a scalar of
-    the same kind.  Every other node applies ``op`` to the values of its
+    ``ScalarField(m, r, fn, deps)`` is an opaque leaf whose ``param`` is
+    ``fn``: it takes the list of coordinates (floats or Taylor objects) and
+    returns a scalar of the same kind.  Every other node applies ``op`` to the values of its
     ``args``; when ``param`` is not None, ``op`` takes ``param`` and the
     coordinates first, as coordinates, partial derivatives, compositions
     and matrix inverses do.  ``deps`` is the set of coordinate indices the
