@@ -156,6 +156,13 @@ def _nonnegative(value, where):
     return value
 
 
+def _count(value, where):
+    """A sample count: a check that looked at no point would pass."""
+    if _nonnegative(value, where) == 0:
+        raise ConfigError(f"{where} must be positive")
+    return value
+
+
 def _box(spec, key, n):
     """The ``sampling`` interval list ``spec[key]``: n [lo, hi] pairs."""
     where = f"sampling.{key}"
@@ -340,7 +347,7 @@ def load_config(source) -> Geometry:
         geometry.box = SampleBox(x=x_box, y=y_box)
     except GeometryError as err:
         raise ConfigError(f"bad sampling box: {err}") from err
-    geometry.count = _nonnegative(_integer(
+    geometry.count = _count(_integer(
         sampling_spec.get("count", 100), "sampling.count"), "sampling.count")
     geometry.seed = _integer(sampling_spec.get("seed", 0), "sampling.seed")
     floor = sampling_spec.get("fiber_floor", DEFAULT_FIBER_FLOOR)
@@ -568,9 +575,7 @@ def _build_parser():
         p.add_argument("--points", type=int, default=None,
                        help="override the sample count")
         p.add_argument("--probe", action="append", default=[],
-                       help="extra probe point, comma-separated coordinates;"
-                       " write --probe=-0.5,... when the first coordinate"
-                       " is negative")
+                       help="extra probe point, comma-separated coordinates")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
         p.add_argument("--dump-samples", action="store_true",
@@ -591,7 +596,7 @@ def _check_flags(args):
     """Refuse the flag values a config would refuse, naming the flag and
     the value."""
     if args.points is not None:
-        _nonnegative(args.points, f"--points {args.points}")
+        _count(args.points, f"--points {args.points}")
     if args.tol is not None:
         where = f"--tol {args.tol:g}"
         _nonnegative(_number(args.tol, where), where)
@@ -608,9 +613,22 @@ def _probe_point(raw, m, r):
     return Point(tuple(values[:m]), tuple(values[m:]))
 
 
+def _attach_probe_values(argv):
+    """``argv`` with ``--probe VALUE`` written ``--probe=VALUE``, so that a
+    value such as ``-0.5,0,1,1`` is not taken for an option."""
+    out = []
+    for arg in argv:
+        if out[-1:] == ["--probe"]:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_probe_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         _check_flags(args)
         geometry = load_config(args.config)

@@ -1,11 +1,11 @@
 """Forward-mode jets for scalar fields on bundle coordinates.
 
-Coordinates are ordered (x1..xm, y1..yr).  Derivatives come from truncated
-multivariate Taylor arithmetic: evaluating a field on Taylor seeds yields its
-jet in one pass.  A field defined as the partial derivative of another field
-adds a nested one-variable first-order Taylor layer per derivative, so derived
-fields (e.g. a Hessian entry) remain differentiable themselves.  Each layer
-carries a tag so that operands from different layers never merge coefficients.
+Coordinates are ordered (x1..xm, y1..yr).  Derivatives come from first-order
+Taylor arithmetic, nested once per derivative: a field defined as the partial
+derivative of another field adds one layer, so derived fields (e.g. a
+Hessian entry) remain differentiable themselves, and ``eval_jet`` nests one
+layer per order.  Each layer carries a tag so that operands from different
+layers never merge coefficients.
 
 A scalar field is a node of an expression graph; ``evaluate`` computes a
 list of fields at a point, each node once.
@@ -33,39 +33,24 @@ def _is_number(v):
 def scalar_value(v):
     """Constant term of a possibly nested Taylor scalar, as a float."""
     while isinstance(v, Taylor):
-        v = v.value()
+        v = v.value
     return float(v)
 
 
 class Taylor:
-    """Multivariate Taylor expansion truncated at total degree ``order``.
+    """First-order expansion ``value + sum_k grad[k] * d_k`` in layer ``tag``.
 
-    ``coeffs`` maps exponent tuples (length ``nvars``) to coefficients, which
-    may themselves be Taylor objects from an enclosing layer.
+    ``grad`` maps a direction index to its coefficient and has no entry for
+    a direction without a term; it is never changed once built.  The value
+    and the coefficients may be Taylor objects of an enclosing layer.
     """
 
-    __slots__ = ("nvars", "order", "tag", "coeffs")
+    __slots__ = ("value", "grad", "tag")
 
-    def __init__(self, nvars, order, tag, coeffs):
-        self.nvars = nvars
-        self.order = order
+    def __init__(self, value, grad, tag):
+        self.value = value
+        self.grad = grad
         self.tag = tag
-        self.coeffs = coeffs
-
-    @classmethod
-    def seed(cls, nvars, order, tag, index, value):
-        coeffs = {(0,) * nvars: value}
-        if order >= 1:
-            unit = tuple(1 if i == index else 0 for i in range(nvars))
-            coeffs[unit] = 1.0
-        return cls(nvars, order, tag, coeffs)
-
-    @classmethod
-    def lift(cls, nvars, order, tag, value):
-        return cls(nvars, order, tag, {(0,) * nvars: value})
-
-    def value(self):
-        return self.coeffs.get((0,) * self.nvars, 0.0)
 
     def _same_layer(self, other):
         return isinstance(other, Taylor) and other.tag == self.tag
@@ -74,20 +59,17 @@ class Taylor:
 
     def __add__(self, other):
         if self._same_layer(other):
-            coeffs = dict(self.coeffs)
-            for k, v in other.coeffs.items():
-                coeffs[k] = coeffs[k] + v if k in coeffs else v
-            return Taylor(self.nvars, self.order, self.tag, coeffs)
-        coeffs = dict(self.coeffs)
-        zero = (0,) * self.nvars
-        coeffs[zero] = coeffs.get(zero, 0.0) + other
-        return Taylor(self.nvars, self.order, self.tag, coeffs)
+            grad = dict(self.grad)
+            for k, v in other.grad.items():
+                grad[k] = grad[k] + v if k in grad else v
+            return Taylor(self.value + other.value, grad, self.tag)
+        return Taylor(self.value + other, self.grad, self.tag)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Taylor(self.nvars, self.order, self.tag,
-                      {k: -v for k, v in self.coeffs.items()})
+        return Taylor(-self.value, {k: -v for k, v in self.grad.items()},
+                      self.tag)
 
     def __sub__(self, other):
         return self + (-other)
@@ -97,18 +79,13 @@ class Taylor:
 
     def __mul__(self, other):
         if self._same_layer(other):
-            order = self.order
-            coeffs = {}
-            for ka, va in self.coeffs.items():
-                for kb, vb in other.coeffs.items():
-                    k = tuple(a + b for a, b in zip(ka, kb))
-                    if sum(k) > order:
-                        continue
-                    prod = va * vb
-                    coeffs[k] = coeffs[k] + prod if k in coeffs else prod
-            return Taylor(self.nvars, order, self.tag, coeffs)
-        return Taylor(self.nvars, self.order, self.tag,
-                      {k: v * other for k, v in self.coeffs.items()})
+            a, b = self.value, other.value
+            grad = {k: a * v for k, v in other.grad.items()}
+            for k, v in self.grad.items():
+                grad[k] = grad[k] + v * b if k in grad else v * b
+            return Taylor(a * b, grad, self.tag)
+        return Taylor(self.value * other,
+                      {k: v * other for k, v in self.grad.items()}, self.tag)
 
     __rmul__ = __mul__
 
@@ -121,29 +98,25 @@ class Taylor:
         return self.reciprocal() * other
 
     def reciprocal(self):
-        c = self.value()
+        c = self.value
         if scalar_value(c) == 0.0:
             raise NonSmoothPoint("division by zero")
         i1 = _inv(c)
-        i2 = i1 * i1
-        derivs = [i1, -i2, 2.0 * (i2 * i1), -6.0 * (i2 * i2)]
-        return _compose(self, derivs)
+        return _chain(self, i1, -(i1 * i1))
 
     def __repr__(self):
-        return f"Taylor(nvars={self.nvars}, order={self.order}, {self.coeffs!r})"
+        return f"Taylor({self.value!r}, {self.grad!r}, tag={self.tag})"
 
 
-def _compose(u: Taylor, derivs):
-    """f(u) for f with derivative list [f(c), f'(c), ...] at c = const term."""
-    res = derivs[0]
-    w = u - u.value()
-    cur = w
-    fact = 1.0
-    for k in range(1, u.order + 1):
-        fact *= k
-        res = cur * (derivs[k] * (1.0 / fact)) + res
-        cur = cur * w
-    return res
+def _chain(u: Taylor, f0, f1):
+    """f(u) for f with f(c) = ``f0`` and f'(c) = ``f1`` at c = ``u.value``.
+
+    The value ``(c + (-c)) * f1 + f0`` turns a ``-0.0`` into ``0.0`` and
+    an infinite ``c`` into NaN, as the expansion ``f0 + f1 * (u - c)`` does.
+    """
+    c = u.value
+    return Taylor((c + (-c)) * f1 + f0,
+                  {k: g * f1 for k, g in u.grad.items()}, u.tag)
 
 
 def _inv(v):
@@ -159,17 +132,15 @@ def _inv(v):
 
 def t_sin(u):
     if isinstance(u, Taylor):
-        c = u.value()
-        s, co = t_sin(c), t_cos(c)
-        return _compose(u, [s, co, -s, -co])
+        c = u.value
+        return _chain(u, t_sin(c), t_cos(c))
     return math.sin(u)
 
 
 def t_cos(u):
     if isinstance(u, Taylor):
-        c = u.value()
-        s, co = t_sin(c), t_cos(c)
-        return _compose(u, [co, -s, -co, s])
+        c = u.value
+        return _chain(u, t_cos(c), -t_sin(c))
     return math.cos(u)
 
 
@@ -179,8 +150,8 @@ def t_tan(u):
 
 def t_exp(u):
     if isinstance(u, Taylor):
-        e = t_exp(u.value())
-        return _compose(u, [e, e, e, e])
+        e = t_exp(u.value)
+        return _chain(u, e, e)
     try:
         return math.exp(u)
     except OverflowError:
@@ -189,12 +160,10 @@ def t_exp(u):
 
 def t_ln(u):
     if isinstance(u, Taylor):
-        c = u.value()
+        c = u.value
         if scalar_value(c) <= 0.0:
             raise NonSmoothPoint("ln of a non-positive argument")
-        i1 = _inv(c)
-        i2 = i1 * i1
-        return _compose(u, [t_ln(c), i1, -i2, 2.0 * (i2 * i1)])
+        return _chain(u, t_ln(c), _inv(c))
     if u <= 0.0:
         raise NonSmoothPoint("ln of a non-positive argument")
     return math.log(u)
@@ -202,17 +171,13 @@ def t_ln(u):
 
 def t_sqrt(u):
     if isinstance(u, Taylor):
-        c = u.value()
-        sv = scalar_value(c)
+        sv = scalar_value(u.value)
         if sv < 0.0:
             raise NonSmoothPoint("sqrt of a negative argument")
         if sv == 0.0:
             raise NonSmoothPoint("sqrt is not differentiable at zero")
-        s = t_sqrt(c)
-        d1 = 0.5 * _inv(s)
-        d2 = -0.25 * _inv(c * s)
-        d3 = 0.375 * _inv(c * c * s)
-        return _compose(u, [s, d1, d2, d3])
+        s = t_sqrt(u.value)
+        return _chain(u, s, 0.5 * _inv(s))
     if u < 0.0:
         raise NonSmoothPoint("sqrt of a negative argument")
     return math.sqrt(u)
@@ -220,7 +185,7 @@ def t_sqrt(u):
 
 def t_abs(u):
     if isinstance(u, Taylor):
-        sv = scalar_value(u.value())
+        sv = scalar_value(u.value)
         if sv == 0.0:
             raise NonSmoothPoint("abs is not differentiable at zero")
         return u if sv > 0.0 else -u
@@ -293,8 +258,8 @@ class Jet:
     """Partial derivatives of a scalar field at a point, up to ``order``.
 
     ``second`` and ``third`` are fully symmetric nested tuples; symmetric
-    entries are produced from the same Taylor coefficient, so symmetry is
-    exact, not approximate.
+    entries are read from the same nested Taylor coefficient, so symmetry
+    is exact, not approximate.
     """
 
     order: int
@@ -346,14 +311,15 @@ class ScalarField:
     """
 
     __slots__ = ("m", "r", "param", "deps", "op", "args", "constant",
-                 "_order")
+                 "_order", "_partials")
 
     def __init__(self, m, r, param, deps=None, op=_opaque, args=(),
                  constant=None):
         self.m, self.r, self.param = m, r, param
         self.deps = None if deps is None else frozenset(deps)
         self.op, self.args, self.constant = op, args, constant
-        self._order = None   # set by ``evaluate``
+        self._order = None      # set by ``evaluate``
+        self._partials = None   # index -> field, filled by ``partial``
 
     @property
     def n(self):
@@ -389,13 +355,20 @@ class ScalarField:
     # -- differentiation ---------------------------------------------------
 
     def partial(self, index):
-        """Field of the first partial derivative along coordinate ``index``."""
-        if not 0 <= index < self.n:
-            raise DimensionMismatch(f"coordinate index {index} out of range")
-        if self.deps is not None and index not in self.deps:
-            return ScalarField.const(self.m, self.r, 0.0)
-        return ScalarField(self.m, self.r, (self, index), self.deps,
-                           _partial_at)
+        """Field of the first partial derivative along coordinate ``index``,
+        built once per index and kept on this node, so that ``evaluate``
+        computes a repeated partial once."""
+        partials = self._partials = self._partials or {}
+        if index not in partials:
+            if not 0 <= index < self.n:
+                raise DimensionMismatch(
+                    f"coordinate index {index} out of range")
+            partials[index] = (
+                ScalarField.const(self.m, self.r, 0.0)
+                if self.deps is not None and index not in self.deps else
+                ScalarField(self.m, self.r, (self, index), self.deps,
+                            _partial_at))
+        return partials[index]
 
 
 # Errors that leave a node over constant inputs unfolded; it raises them
@@ -440,14 +413,14 @@ def derived(op, args, param=None, deps=_MERGED):
 
 
 def _partial_at(spec, coords):
-    """One order-1 Taylor layer with a fresh tag, seeded along ``index``."""
+    """One first-order Taylor layer with a fresh tag, seeded along ``index``."""
     base, index = spec
     tag = next(_TAG)
-    lifted = [Taylor.lift(1, 1, tag, c) for c in coords]
-    lifted[index] = Taylor.seed(1, 1, tag, 0, coords[index])
+    lifted = [Taylor(c, {}, tag) for c in coords]
+    lifted[index] = Taylor(coords[index], {index: 1.0}, tag)
     out = evaluate([base], lifted)[0]
     if isinstance(out, Taylor) and out.tag == tag:
-        return out.coeffs.get((1,), 0.0)
+        return out.grad.get(index, 0.0)
     return 0.0
 
 
@@ -546,7 +519,13 @@ def evaluate_grid(grid, coords):
 
 
 def eval_jet(field: ScalarField, point: Point, order: int) -> Jet:
-    """Jet of ``field`` at ``point`` up to ``order`` (0..3)."""
+    """Jet of ``field`` at ``point`` up to ``order`` (0..3).
+
+    ``field`` is evaluated once on ``order`` nested layers, each seeded
+    along every coordinate.  The derivative along a sorted index tuple
+    ``(i, j, ...)`` reads ``grad[i]`` of the innermost layer not read for its
+    value, then ``grad[j]`` of the next one out, and so on.
+    """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
     coords = list(point.coords())
@@ -554,23 +533,21 @@ def eval_jet(field: ScalarField, point: Point, order: int) -> Jet:
     if len(coords) != n:
         raise DimensionMismatch(
             f"point has {len(coords)} coordinates, field expects {n}")
-    if order == 0:
-        return Jet(0, float(field(coords)))
-
-    tag = next(_TAG)
-    seeds = [Taylor.seed(n, order, tag, i, coords[i]) for i in range(n)]
-    out = field(seeds)
-    if not (isinstance(out, Taylor) and out.tag == tag):
-        out = Taylor.lift(n, order, tag, out)
+    tags = []
+    for _ in range(order):
+        tags.append(next(_TAG))
+        coords = [Taylor(c, {i: 1.0}, tags[-1]) for i, c in enumerate(coords)]
+    out = evaluate([field], coords)[0]
 
     def deriv(indices):
-        exps = [0] * n
-        for i in indices:
-            exps[i] += 1
-        factor = 1.0
-        for e in exps:
-            factor *= math.factorial(e)
-        return out.coeffs.get(tuple(exps), 0.0) * factor
+        v = out
+        steps = (None,) * (order - len(indices)) + indices
+        for tag, i in zip(reversed(tags), steps):
+            if isinstance(v, Taylor) and v.tag == tag:
+                v = v.value if i is None else v.grad.get(i, 0.0)
+            elif i is not None:
+                return 0.0
+        return float(v)
 
     def table(k):
         # every entry reads its sorted index tuple, so symmetry is exact
@@ -584,7 +561,7 @@ def eval_jet(field: ScalarField, point: Point, order: int) -> Jet:
 
         return build(())
 
-    return Jet(order, float(out.value()),
+    return Jet(order, deriv(()),
                *(table(k) if k <= order else None for k in (1, 2, 3)))
 
 

@@ -99,11 +99,23 @@ def test_output_file_and_probe_flag(capsys, tmp_path):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["metadata"]["blocks"]["hh"]["probes"]
-    # a negative first coordinate needs the --probe= form
+    # the --probe= form reads a negative first coordinate too
     code, out, _ = run_cli(capsys, "connection", "canonical",
                            fixture_path("flat.json"), "--probe=-0.5,0,1,1")
     assert code == 0
     probe = json.loads(out)["metadata"]["blocks"]["hh"]["probes"][0]
+    assert probe["point"] == {"x": [-0.5, 0.0], "y": [1.0, 1.0]}
+
+
+def test_probe_value_may_start_with_a_minus_sign(capsys):
+    outputs = []
+    for flags in (["--probe", "-0.5,0,1,1"], ["--probe=-0.5,0,1,1"]):
+        code, out, err = run_cli(capsys, "connection", "canonical",
+                                 fixture_path("flat.json"), *flags)
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    probe = json.loads(outputs[0])["metadata"]["blocks"]["hh"]["probes"][0]
     assert probe["point"] == {"x": [-0.5, 0.0], "y": [1.0, 1.0]}
 
 
@@ -214,6 +226,7 @@ def test_deeply_nested_expression_is_config_failure(capsys, tmp_path):
     (None, "tolerances", {"structure": -1e-8}, "tolerances.structure"),
     (None, "probes", [[0, 0, "a", 1]], "probes[0][2]"),
     ("sampling", "count", -1, "sampling.count"),
+    ("sampling", "count", 0, "sampling.count"),
 ])
 def test_malformed_config_values_name_their_path(capsys, tmp_path, section,
                                                  key, value, path):
@@ -246,6 +259,7 @@ def test_infinite_constant_structure_fails_with_valid_json(capsys, tmp_path):
     (["--tol", "inf"], "--tol inf must be a finite number"),
     (["--tol", "nan"], "--tol nan must be a finite number"),
     (["--tol", "-1"], "--tol -1 must not be negative"),
+    (["--points", "0"], "--points 0 must be positive"),
 ])
 def test_malformed_flag_values_name_the_flag(capsys, flags, message):
     code, out, err = run_cli(capsys, "connection", "canonical",
