@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 
 from . import linalg
 from .errors import DimensionMismatch, ShapeError, SingularFrame
-from .jets import Point, ScalarField, evaluate_grid, leaves
+from .jets import Point, ScalarField, leaves
 from .sampling import ValidationReport, fields_sweep_max, sweep
 
 
@@ -239,13 +239,15 @@ class FrameDiffeoData:
         object.__setattr__(self, "theta_inv", _freeze(self.theta_inv))
 
     def check_invertible(self, points: Sequence[Point], tol: float = 1e-8):
-        """Verify theta_inv is the pointwise inverse of theta at ``points``."""
-        for point in points:
-            theta, theta_inv = evaluate_grid([self.theta, self.theta_inv],
-                                             point.coords())
-            if linalg.residual_identity(theta_inv, theta) > tol:
-                raise SingularFrame(
-                    f"frame and coframe are not inverse at {point}")
+        """Verify theta_inv is the pointwise inverse of theta at ``points``:
+        raise SingularFrame, naming the argmax point, unless the sweep max
+        of |theta_inv @ theta - I| is at most ``tol`` (a NaN is not)."""
+        value, arg = fields_sweep_max(
+            [linalg.residual_identity_field(self.theta_inv, self.theta)],
+            points)
+        if not value <= tol:
+            raise SingularFrame(
+                f"frame and coframe are not inverse at {arg}")
 
 
 def from_frame(frame: FrameDiffeoData) -> GeneralizedAlgebroid:

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from . import dtensor, lagrange
@@ -28,7 +29,7 @@ from .exprlang import parse_field
 from .jets import Point, ScalarField, evaluate_grid, leaves
 from .lagrange import (FundamentalFunction, TorsionPair, build_gl_space,
                        finsler_checks, hessian_metric, levi_civita_normal,
-                       recover_torsions, regularity_check, torsion_deform)
+                       recover_torsions, torsion_deform)
 from .metric import (MetricStructure, base_deform, berwald_canonical,
                      metrizability_residual, obata_deform)
 from .nlconn import (FrameChange, NonlinearConnection, default_chart,
@@ -96,7 +97,7 @@ class Geometry:
     algebroid: GeneralizedAlgebroid
     connection: NonlinearConnection
     frame: Optional[FrameDiffeoData] = None
-    metric: Optional[MetricStructure] = None
+    metric: Optional[MetricStructure] = None  # or the GL metric, once built
     fundamental: Optional[FundamentalFunction] = None
     frame_change: Optional[FrameChange] = None
     torsions: Optional[TorsionPair] = None
@@ -108,20 +109,14 @@ class Geometry:
     tolerances: dict = field(default_factory=dict)
     probes: list = field(default_factory=list)
 
-    def tol(self, name, override=None):
-        if override is not None:
-            return override
+    def tol(self, name):
         return float(self.tolerances.get(name,
                                          self.tolerances.get("default", 1e-8)))
 
-    def samples(self, count=None, seed=None):
-        box = self.box
-        if box is None:
-            box = SampleBox(x=tuple((-1.0, 1.0) for _ in range(self.m)),
-                            y=tuple((-1.0, 1.0) for _ in range(self.r)))
-        return generate(box, self.count if count is None else count,
-                        self.seed if seed is None else seed,
-                        self.fiber_floor)
+    @cached_property
+    def samples(self):
+        """The sample points, drawn on first use and shared from then on."""
+        return generate(self.box, self.count, self.seed, self.fiber_floor)
 
 
 def _expect(config, key, kind, where):
@@ -378,13 +373,13 @@ def load_config(source) -> Geometry:
 
 
 def _require_metric(geometry: Geometry) -> MetricStructure:
-    if geometry.metric is not None:
-        return geometry.metric
-    if geometry.fundamental is not None:
-        block = hessian_metric(geometry.fundamental)
-        return build_gl_space(geometry.connection, block)
-    raise ConfigError(
-        "this command needs a 'metric', 'lagrangian', or 'finsler' entry")
+    if geometry.metric is None and geometry.fundamental is not None:
+        geometry.metric = build_gl_space(
+            geometry.connection, hessian_metric(geometry.fundamental))
+    if geometry.metric is None:
+        raise ConfigError(
+            "this command needs a 'metric', 'lagrangian', or 'finsler' entry")
+    return geometry.metric
 
 
 def _simple_base(C: NonlinearConnection) -> DConnection:
@@ -452,8 +447,8 @@ def _block_summary(blocks, sweeps, probes):
 
 
 def cmd_check_structure(geometry: Geometry, options) -> ValidationReport:
-    samples = geometry.samples(options.points, options.seed)
-    tol = geometry.tol("structure", options.tol)
+    samples = geometry.samples
+    tol = geometry.tol("structure")
     report = validate_structure(geometry.algebroid, samples, tol)
     value, arg = jacobi_residual(geometry.algebroid, samples)
     report.add("jacobi", value, arg, tol)
@@ -463,8 +458,8 @@ def cmd_check_structure(geometry: Geometry, options) -> ValidationReport:
 
 
 def cmd_metrizability(geometry: Geometry, options) -> ValidationReport:
-    samples = geometry.samples(options.points, options.seed)
-    tol = geometry.tol("metrizability", options.tol)
+    samples = geometry.samples
+    tol = geometry.tol("metrizability")
     G = _require_metric(geometry)
     connection = build_connection(geometry, options.kind or "canonical")
     if isinstance(connection, lagrange.NormalDConnection):
@@ -475,19 +470,15 @@ def cmd_metrizability(geometry: Geometry, options) -> ValidationReport:
 def cmd_finsler_check(geometry: Geometry, options) -> ValidationReport:
     if geometry.fundamental is None or geometry.fundamental.kind != "finsler":
         raise ConfigError("finsler-check needs a 'finsler' entry")
-    samples = geometry.samples(options.points, options.seed)
-    tol = geometry.tol("finsler", options.tol)
-    report = finsler_checks(geometry.fundamental, samples, tol)
-    block = hessian_metric(geometry.fundamental)
-    report.extend(regularity_check(block, samples))
-    return report
+    return finsler_checks(geometry.fundamental, geometry.samples,
+                          geometry.tol("finsler"))
 
 
 def cmd_transform_check(geometry: Geometry, options) -> ValidationReport:
     if geometry.frame_change is None:
         raise ConfigError("transform-check needs a 'frame_change' entry")
-    samples = geometry.samples(options.points, options.seed)
-    tol = geometry.tol("transform", options.tol)
+    samples = geometry.samples
+    tol = geometry.tol("transform")
     F = geometry.frame_change
     A = geometry.algebroid
     C = geometry.connection
@@ -513,7 +504,7 @@ def cmd_transform_check(geometry: Geometry, options) -> ValidationReport:
 
 
 def cmd_connection(geometry: Geometry, options):
-    samples = geometry.samples(options.points, options.seed)
+    samples = geometry.samples
     connection = build_connection(geometry, options.kind)
     report = ValidationReport()
     if isinstance(connection, lagrange.NormalDConnection):
@@ -533,7 +524,7 @@ def cmd_connection(geometry: Geometry, options):
                                                geometry.probes)
     if torsions is not None:
         report.add("torsion_round_trip", *sweeps[-1],
-                   geometry.tol("torsion", options.tol))
+                   geometry.tol("torsion"))
     return report
 
 
@@ -632,6 +623,12 @@ def main(argv=None):
     try:
         _check_flags(args)
         geometry = load_config(args.config)
+        if args.points is not None:
+            geometry.count = args.points
+        if args.seed is not None:
+            geometry.seed = args.seed
+        if args.tol is not None:
+            geometry.tolerances = {"default": args.tol}
         geometry.probes.extend(_probe_point(raw, geometry.m, geometry.r)
                                for raw in args.probe)
         report = COMMANDS[args.command](geometry, args)
@@ -642,13 +639,12 @@ def main(argv=None):
         "schema_version": SCHEMA_VERSION,
         "command": args.command if args.kind is None
         else f"{args.command} {args.kind}",
-        "seed": geometry.seed if args.seed is None else args.seed,
-        "points": geometry.count if args.points is None else args.points,
+        "seed": geometry.seed,
+        "points": geometry.count,
     }
     if args.dump_samples:
-        payload["samples"] = [
-            {"x": list(pt.x), "y": list(pt.y)}
-            for pt in geometry.samples(args.points, args.seed)]
+        payload["samples"] = [{"x": list(pt.x), "y": list(pt.y)}
+                              for pt in geometry.samples]
     payload.update(report.to_dict())
     text = dump_report(payload)
     if args.output:

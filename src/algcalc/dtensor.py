@@ -240,8 +240,7 @@ def cov_deriv_along(D: DConnection, X, T: DTensorField) -> DTensorField:
 
 
 def transform_dconnection(D: DConnection, F: FrameChange,
-                          chart: Optional[ChartFrame] = None,
-                          new_nlconn: Optional[NonlinearConnection] = None
+                          chart: Optional[ChartFrame] = None
                           ) -> DConnection:
     """Coefficient blocks in the transformed frame, over the original
     coordinates.  The H-blocks pick up the horizontal derivative of the
@@ -288,5 +287,4 @@ def transform_dconnection(D: DConnection, F: FrameChange,
     hv = h_rule(D.hv, F.mmat, F.mmat_inv, r)
     vh = v_rule(D.vh, F.lam, F.lam_inv, p)
     vv = v_rule(D.vv, F.mmat, F.mmat_inv, r)
-    nlconn = new_nlconn if new_nlconn is not None else D.nlconn
-    return DConnection(nlconn, hh=hh, hv=hv, vh=vh, vv=vv)
+    return DConnection(D.nlconn, hh=hh, hv=hv, vh=vh, vv=vv)

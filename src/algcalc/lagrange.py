@@ -9,19 +9,17 @@ recovered afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import linalg
 from .algebroid import GeneralizedAlgebroid, _check_grid, _freeze, contract
 from .dtensor import DConnection
-from .errors import DimensionMismatch, ShapeError, SingularMetric
-from .jets import Point, ScalarField, evaluate_grid
+from .errors import DimensionMismatch, ShapeError
+from .jets import Point, ScalarField, compose
 from .metric import MetricStructure, _add_half_raised, \
     _koszul_christoffel, _vertical_christoffel
 from .nlconn import NonlinearConnection
-from .sampling import ValidationReport, fields_sweep_max, sweep_max
-
-RANK_TOL = 1e-10
+from .sampling import ValidationReport, fields_sweep_max, sweep
 
 
 @dataclass(frozen=True)
@@ -59,70 +57,66 @@ def hessian_metric(fund: FundamentalFunction):
     return block
 
 
-def regularity_check(block, samples: Sequence[Point],
-                     tol: float = RANK_TOL) -> ValidationReport:
+def _rank_defect(block):
+    return float(len(block) - linalg.rank(block))
+
+
+def _indefinite(block):
+    pivots = linalg.sym_pivots(block)
+    return 0.0 if all(p > linalg.RANK_TOL for p in pivots) else 1.0
+
+
+def regularity_check(block, samples: Sequence[Point]) -> ValidationReport:
     """Rank of the Hessian block at every sample; regular means full rank."""
     r = len(block)
+    defect, arg = fields_sweep_max(
+        [linalg.matrix_field(_rank_defect, [block])], samples)
     report = ValidationReport()
-
-    def rank_defect(point):
-        return r - linalg.rank(evaluate_grid(block, point.coords()), tol)
-
-    defect, arg = sweep_max(rank_defect, samples)
-    report.add("hessian_rank_defect", float(defect), arg, 0.0)
+    report.add("hessian_rank_defect", defect, arg, 0.0)
     report.metadata["rank"] = r - int(defect)
     report.metadata["dimension"] = r
     return report
 
 
+HOMOGENEITY_SCALES = (0.5, 2.0, 3.0)
+
+
 def finsler_checks(fund: FundamentalFunction, samples: Sequence[Point],
-                   tol: float = 1e-8,
-                   scales=(0.5, 2.0, 3.0)) -> ValidationReport:
-    """Positive 1-homogeneity in the fiber, the Euler identity residual,
-    and positive-definiteness of the induced metric at the samples."""
+                   tol: float = 1e-8) -> ValidationReport:
+    """Finsler conditions at the samples, from one sweep: homogeneity
+    |F(x, s*y) - s*F(x, y)| for s in HOMOGENEITY_SCALES and the Euler
+    identity |y^a dF/dy^a - F| within ``tol``; a positive-definite and
+    full-rank Hessian metric, as defects that must be 0."""
     if fund.kind != "finsler":
         raise ShapeError("finsler checks need a 'finsler' fundamental"
                          " function")
     A = fund.algebroid
     m, r = A.m, A.r
     F = fund.value
-    report = ValidationReport()
-
-    def homogeneity(point):
-        base_value = float(F(list(point.coords())))
-        return sweep_max(lambda lam: float(F(list(point.x) + [
-            lam * v for v in point.y])) - lam * base_value, scales)[0]
-
-    value, arg = sweep_max(homogeneity, samples)
-    report.add("homogeneity", value, arg, tol)
-
+    x = [ScalarField.coordinate(m, r, k) for k in range(m)]
+    y = [ScalarField.coordinate(m, r, m + a) for a in range(r)]
+    homogeneity = [compose(F, x + [s * v for v in y]) - F * s
+                   for s in HOMOGENEITY_SCALES]
     euler = contract((), (r,), lambda: ScalarField.const(m, r, 0.0),
-                     lambda a: ScalarField.coordinate(m, r, m + a)
-                     * F.partial(m + a)) - F
-    value, arg = fields_sweep_max([euler], samples)
-    report.add("euler_identity", value, arg, tol)
-
+                     lambda a: y[a] * F.partial(m + a)) - F
     block = hessian_metric(fund)
-
-    def indefinite(point):
-        pivots = linalg.sym_pivots(evaluate_grid(block, point.coords()))
-        return 0.0 if all(p > RANK_TOL for p in pivots) else 1.0
-
-    value, arg = sweep_max(indefinite, samples)
-    report.add("positive_definite_defect", value, arg, 0.0)
+    sweeps = sweep([homogeneity, [euler],
+                    [linalg.matrix_field(_indefinite, [block])],
+                    [linalg.matrix_field(_rank_defect, [block])]], samples)
+    report = ValidationReport()
+    report.add_all(("homogeneity", "euler_identity"), sweeps[:2], tol)
+    report.add_all(("positive_definite_defect", "hessian_rank_defect"),
+                   sweeps[2:], 0.0)
     return report
 
 
-def build_gl_space(C: NonlinearConnection, block,
-                   v_riemannian: bool = False) -> MetricStructure:
+def build_gl_space(C: NonlinearConnection, block) -> MetricStructure:
     """Metric structure using the same block horizontally and vertically;
     needs p = r."""
     A = C.algebroid
     if A.p != A.r:
         raise DimensionMismatch("shared metric block needs p = r")
-    return MetricStructure(A, gh=block, gv=block,
-                           h_riemannian=v_riemannian,
-                           v_riemannian=v_riemannian)
+    return MetricStructure(A, gh=block, gv=block)
 
 
 @dataclass(frozen=True)

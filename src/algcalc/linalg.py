@@ -85,11 +85,11 @@ def matmul(a, b):
 
 
 def residual_identity(a, b):
-    """max |a @ b - I|, used to sanity-check computed inverses."""
-    prod = matmul(a, b)
-    n = len(prod)
-    return max(abs(scalar_value(prod[i][j]) - (1.0 if i == j else 0.0))
-               for i in range(n) for j in range(n))
+    """max |a @ b - I|, used to sanity-check computed inverses.  A NaN
+    entry of the product wins, wherever it comes, as in a sweep."""
+    gaps = [abs(scalar_value(v) - (1.0 if i == j else 0.0))
+            for i, row in enumerate(matmul(a, b)) for j, v in enumerate(row)]
+    return max(gaps, key=lambda gap: (math.isnan(gap), gap))
 
 
 def rank(rows, tol=RANK_TOL):
@@ -150,19 +150,30 @@ def sym_pivots(rows, tol=RANK_TOL):
     return pivots
 
 
-def _inverse_at(spec, coords, *entries):
-    """Row-major entries of the inverse of the n x n matrix ``entries``."""
-    n, m, tol, exc = spec
+def matrix_field(fn, mats, exc=None):
+    """One node whose value is ``fn`` of the square field matrices
+    ``mats`` at a point, each passed as a list of rows.  ``fn`` should reach
+    this module's routines through the module, so a wrapped one runs.  A
+    SingularMatrixError from ``fn`` becomes ``exc`` (SingularMatrixError if
+    None), its message naming the point."""
+    entries = [f for mat in mats for row in mat for f in row]
+    sizes = tuple(len(mat) for mat in mats)
+    return derived(_matrices_at, entries, (fn, sizes, entries[0].m, exc))
+
+
+def _matrices_at(spec, coords, *entries):
+    fn, sizes, m, exc = spec
+    values = iter(entries)
     try:
-        inv = invert([entries[i * n:(i + 1) * n] for i in range(n)], tol)
+        return fn(*([[next(values) for _ in range(n)] for _ in range(n)]
+                    for n in sizes))
     except SingularMatrixError as err:
         point = [scalar_value(c) for c in coords]
         raise (exc or SingularMatrixError)(
             f"{err} at x={point[:m]}, y={point[m:]}") from err
-    return [v for row in inv for v in row]
 
 
-def field_matrix_inverse(mat, m, r, tol=PIVOT_TOL, exc=None):
+def field_matrix_inverse(mat, exc=None):
     """Entry fields of the pointwise inverse of a matrix of scalar fields.
 
     Every entry reads one inverse node, so an ``evaluate`` call inverts the
@@ -174,10 +185,15 @@ def field_matrix_inverse(mat, m, r, tol=PIVOT_TOL, exc=None):
     n = len(mat)
     if n == 0:
         return []
-    inverse = derived(_inverse_at, [f for row in mat for f in row],
-                      (n, m, tol, exc))
+    inverse = matrix_field(
+        lambda rows: [v for row in invert(rows) for v in row], [mat], exc)
     return [[derived(operator.itemgetter(i * n + j), (inverse,))
              for j in range(n)] for i in range(n)]
+
+
+def residual_identity_field(a, b):
+    """The field ``residual_identity`` of two square matrices of fields."""
+    return matrix_field(lambda x, y: residual_identity(x, y), [a, b])
 
 
 def signature(rows, tol=RANK_TOL):

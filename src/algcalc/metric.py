@@ -77,9 +77,7 @@ class MetricStructure:
 
     def _inverse(self, cached, block):
         if getattr(self, cached) is None:
-            inv = linalg.field_matrix_inverse(
-                [list(row) for row in block], self.m, self.r,
-                exc=SingularMetric)
+            inv = linalg.field_matrix_inverse(block, exc=SingularMetric)
             object.__setattr__(self, cached, _symmetrize(cached, inv))
         return getattr(self, cached)
 

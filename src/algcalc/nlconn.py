@@ -25,7 +25,7 @@ from .algebroid import GeneralizedAlgebroid, _check_grid, _check_x_only, \
 from .errors import DimensionMismatch, IndexOutOfRange, ShapeError, \
     SingularTransition
 from .jets import Point, ScalarField, compose, evaluate_grid, leaves
-from .sampling import ValidationReport, fields_sweep_max, sweep_max
+from .sampling import ValidationReport, sweep
 
 
 @dataclass(frozen=True)
@@ -216,26 +216,18 @@ class FrameChange:
 
     def check_consistency(self, points: Sequence[Point],
                           tol: float = 1e-8) -> ValidationReport:
-        """Mutual-inverse residuals of the matrices and of the base maps."""
-        report = ValidationReport()
-
-        def residual(mat, inv, point):
-            return linalg.residual_identity(
-                *evaluate_grid([mat, inv], point.coords()))
-
-        for name, mat, inv in (("lam", self.lam, self.lam_inv),
-                               ("mmat", self.mmat, self.mmat_inv)):
-            value, arg = sweep_max(
-                lambda point: residual(mat, inv, point), points)
-            report.add(f"{name}_inverse", value, arg, tol)
+        """Mutual-inverse residuals of the matrices and of the base maps,
+        from one sweep over ``points``."""
         maps = self.full_maps()
-        fields = []
-        for k in range(self.m):
-            roundtrip = compose(self.basemap_inv[k], maps)
-            fields.append(roundtrip
-                          - ScalarField.coordinate(self.m, self.r, k))
-        value, arg = fields_sweep_max(fields, points)
-        report.add("basemap_inverse", value, arg, tol)
+        basemap = [compose(self.basemap_inv[k], maps)
+                   - ScalarField.coordinate(self.m, self.r, k)
+                   for k in range(self.m)]
+        report = ValidationReport()
+        report.add_all(
+            ("lam_inverse", "mmat_inverse", "basemap_inverse"),
+            sweep([[linalg.residual_identity_field(self.lam, self.lam_inv)],
+                   [linalg.residual_identity_field(self.mmat, self.mmat_inv)],
+                   basemap], points), tol)
         return report
 
 
@@ -266,7 +258,7 @@ def transform_chart(chart: ChartFrame, F: FrameChange) -> ChartFrame:
     transformed anchor, and the new fiber coordinates."""
     m, r, p = F.m, F.r, F.p
     jac = [[chart.ddx[k](F.basemap[kp]) for k in range(m)] for kp in range(m)]
-    jac_inv = linalg.field_matrix_inverse(jac, m, r, exc=SingularTransition)
+    jac_inv = linalg.field_matrix_inverse(jac, exc=SingularTransition)
 
     def zero(*_):
         return ScalarField.const(m, r, 0.0)

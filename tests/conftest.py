@@ -1,5 +1,6 @@
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -113,3 +114,30 @@ def box_samples(m, r, count, seed, x_box=None, y_box=None, fiber_floor=None):
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+def count_calls(monkeypatch, module, name):
+    """The list of the positional arguments of every call of
+    ``module.name`` made through any algcalc module that binds it (as an
+    import or a module attribute); the bindings are restored after the
+    test."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "algcalc" and \
+                vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def count_sweeps(monkeypatch):
+    """Call lists of ``sampling.sweep``, which every check sweeps through,
+    and of ``jets.evaluate_grid``."""
+    from algcalc import jets, sampling
+    return (count_calls(monkeypatch, sampling, "sweep"),
+            count_calls(monkeypatch, jets, "evaluate_grid"))

@@ -10,7 +10,8 @@ from algcalc.errors import ShapeError
 from algcalc.exprlang import parse_field
 from algcalc.jets import Point, ScalarField
 
-from conftest import (box_samples, const, identity_algebroid, so3_geometry)
+from conftest import (box_samples, const, count_sweeps, identity_algebroid,
+                      so3_geometry)
 
 
 def exp_frame(m=2, r=2):
@@ -124,6 +125,34 @@ def test_frame_inverse_check():
     from algcalc.errors import SingularFrame
     with pytest.raises(SingularFrame):
         bad.check_invertible([Point((1.0, 0.0), (0.0, 0.0))])
+
+
+def test_frame_inverse_check_makes_one_sweep(monkeypatch):
+    sweeps, grids = count_sweeps(monkeypatch)
+    exp_frame().check_invertible(box_samples(2, 2, 5, seed=6))
+    assert (len(sweeps), len(grids)) == (1, 0)
+
+
+def test_frame_inverse_check_fails_on_nan():
+    m, r = 2, 2
+    one, zero = const(m, r, 1.0), const(m, r, 0.0)
+    # inf * x1 is NaN at x1 = 0, so the frame entry is NaN there
+    theta = [[parse_field("1e308*10*x1 + 1", m, r), zero], [zero, one]]
+    frame = FrameDiffeoData(m, r, theta, [[one, zero], [zero, one]])
+    from algcalc.errors import SingularFrame
+    with pytest.raises(SingularFrame, match=r"x=\(0\.0, 0\.5\)"):
+        frame.check_invertible([Point((0.0, 0.5), (0.0, 0.0))])
+
+
+def test_frame_inverse_check_names_the_argmax_point():
+    frame = exp_frame()
+    bad = FrameDiffeoData(2, 2, frame.theta, frame.theta)
+    pts = [Point((0.1, 0.0), (0.0, 0.0)), Point((1.0, 0.0), (0.0, 0.0)),
+           Point((0.5, 0.0), (0.0, 0.0))]
+    from algcalc.errors import SingularFrame
+    # |exp(2 x1) - 1| is largest at x1 = 1, the second point
+    with pytest.raises(SingularFrame, match=r"x=\(1\.0, 0\.0\)"):
+        bad.check_invertible(pts)
 
 
 def test_jacobi_builds_each_bracket_once(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from algcalc.cli import dump_report, load_config, main
 from algcalc.errors import ConfigError
 
-from conftest import fixture_path
+from conftest import count_calls, fixture_path
 
 
 def run_cli(capsys, *argv):
@@ -266,3 +266,60 @@ def test_malformed_flag_values_name_the_flag(capsys, flags, message):
                              fixture_path("flat.json"), *flags)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_transform_check_fails_on_a_nan_transition_entry(capsys, tmp_path):
+    with open(fixture_path("transform.json")) as handle:
+        config = json.load(handle)
+    # inf - inf (or 0 * inf at x1 = 0): NaN at every point, in the second
+    # row, which a max that keeps its first value would drop
+    config["frame_change"]["lam"][1][0] = "x1*(1e308*10) - x1*(1e308*10)"
+    target = tmp_path / "config.json"
+    target.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, "transform-check", str(target))
+    assert code == 1
+    check = json.loads(out)["residuals"]["lam_inverse"]
+    assert check["max"] == "NaN" and check["pass"] is False
+    assert check["argmax"] is not None
+
+
+def test_metrizability_builds_one_gl_metric(capsys, tmp_path, monkeypatch):
+    from algcalc import lagrange
+    hessians = count_calls(monkeypatch, lagrange, "hessian_metric")
+    path = write_config(tmp_path, dims={"m": 2, "p": 2, "r": 2},
+                        lagrangian="(1 + x1^2)*(y1^2 + 2*y2^2)")
+    code, _, _ = run_cli(capsys, "metrizability", path)
+    assert code == 0
+    assert len(hessians) == 1
+
+
+def test_finsler_check_draws_samples_and_builds_hessian_once(capsys,
+                                                             monkeypatch):
+    from algcalc import lagrange, sampling
+    draws = count_calls(monkeypatch, sampling, "generate")
+    hessians = count_calls(monkeypatch, lagrange, "hessian_metric")
+    code, out, _ = run_cli(capsys, "finsler-check",
+                           fixture_path("randers.json"), "--dump-samples")
+    assert code == 0
+    assert (len(draws), len(hessians)) == (1, 1)
+    payload = json.loads(out)
+    assert len(payload["samples"]) == payload["points"]
+    assert payload["metadata"] == {}
+
+
+def test_report_draws_samples_once_with_the_flag_overrides(capsys,
+                                                           monkeypatch):
+    from algcalc import sampling
+    draws = count_calls(monkeypatch, sampling, "generate")
+    code, out, _ = run_cli(capsys, "report", fixture_path("randers.json"),
+                           "--dump-samples", "--points", "4", "--seed", "9",
+                           "--tol", "0.5")
+    assert code == 0
+    assert len(draws) == 1 and draws[0][1:3] == (4, 9)
+    payload = json.loads(out)
+    assert (payload["points"], payload["seed"]) == (4, 9)
+    assert len(payload["samples"]) == 4
+    for name in ("jacobi", "gh_h_deriv", "homogeneity"):
+        check = payload["residuals"][name]
+        assert check["tol"] == 0.5
+        assert check["argmax"] in payload["samples"]

@@ -11,8 +11,9 @@ from algcalc.lagrange import (FundamentalFunction, TorsionPair,
                               regularity_check, torsion_deform)
 from algcalc.metric import metrizability_residual
 
-from conftest import (box_samples, identity_algebroid, poincare_geometry,
-                      random_poly, so3_geometry)
+from conftest import (box_samples, count_calls, count_sweeps,
+                      identity_algebroid, poincare_geometry, random_poly,
+                      so3_geometry)
 
 
 def koszul_oracle(G, C, point, a, b, c, h=1e-6):
@@ -108,6 +109,36 @@ def test_randers_passes_off_zero_section():
     pts = box_samples(2, 2, 30, seed=3, fiber_floor=0.2)
     report = finsler_checks(fund, pts)
     assert report.passed
+
+
+def test_finsler_checks_make_one_sweep(monkeypatch):
+    from algcalc import lagrange, linalg
+    sweeps, grids = count_sweeps(monkeypatch)
+    hessians = count_calls(monkeypatch, lagrange, "hessian_metric")
+    ranks = count_calls(monkeypatch, linalg, "rank")
+    pivots = count_calls(monkeypatch, linalg, "sym_pivots")
+    A = identity_algebroid()
+    fund = FundamentalFunction(
+        A, parse_field("sqrt(y1^2 + y2^2) + 0.3*y1", 2, 2), "finsler")
+    report = finsler_checks(fund, box_samples(2, 2, 7, seed=3,
+                                              fiber_floor=0.2))
+    assert [c.name for c in report.checks] == [
+        "homogeneity", "euler_identity", "positive_definite_defect",
+        "hessian_rank_defect"]
+    assert report.passed and report.metadata == {}
+    assert (len(sweeps), len(grids), len(hessians)) == (1, 0, 1)
+    # the rank and pivot routines run once per point, looked up through
+    # the module as they run
+    assert len(ranks) == len(pivots) == 7
+
+
+def test_regularity_check_makes_one_sweep(monkeypatch):
+    sweeps, grids = count_sweeps(monkeypatch)
+    A = identity_algebroid()
+    bad = FundamentalFunction(A, parse_field("y1^2", 2, 2))
+    report = regularity_check(hessian_metric(bad), box_samples(2, 2, 5, 1))
+    assert report["hessian_rank_defect"].value == 1.0
+    assert (len(sweeps), len(grids)) == (1, 0)
 
 
 def test_gl_space_requires_matching_dimensions():

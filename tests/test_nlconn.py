@@ -10,8 +10,8 @@ from algcalc.nlconn import (FrameChange, NonlinearConnection,
                             to_adapted_covector, to_adapted_vector,
                             transform_chart, transform_gamma, zero_connection)
 
-from conftest import (box_samples, const, field_grid, identity_algebroid,
-                      random_poly)
+from conftest import (box_samples, const, count_sweeps, field_grid,
+                      identity_algebroid, random_poly)
 
 
 def random_connection(seed=0, m=2, r=2):
@@ -92,6 +92,15 @@ def test_frame_change_consistency():
     F = sample_frame_change()
     report = F.check_consistency(box_samples(2, 2, 10, seed=2))
     assert report.passed
+
+
+def test_frame_change_consistency_makes_one_sweep(monkeypatch):
+    sweeps, grids = count_sweeps(monkeypatch)
+    report = sample_frame_change().check_consistency(
+        box_samples(2, 2, 10, seed=2))
+    assert [c.name for c in report.checks] == [
+        "lam_inverse", "mmat_inverse", "basemap_inverse"]
+    assert (len(sweeps), len(grids)) == (1, 0)
 
 
 def test_gamma_transform_round_trip():
