@@ -90,19 +90,10 @@ class Taylor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if self._same_layer(other):
-            return self * other.reciprocal()
         return self * _inv(other)
 
     def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def reciprocal(self):
-        c = self.value
-        if scalar_value(c) == 0.0:
-            raise NonSmoothPoint("division by zero")
-        i1 = _inv(c)
-        return _chain(self, i1, -(i1 * i1))
+        return _inv(self) * other
 
     def __repr__(self):
         return f"Taylor({self.value!r}, {self.grad!r}, tag={self.tag})"
@@ -119,86 +110,85 @@ def _chain(u: Taylor, f0, f1):
                   {k: g * f1 for k, g in u.grad.items()}, u.tag)
 
 
-def _inv(v):
-    if isinstance(v, Taylor):
-        return v.reciprocal()
-    if v == 0.0:
-        raise NonSmoothPoint("division by zero")
-    return 1.0 / v
-
-
 # -- smooth primitives, generic over float / Taylor ------------------------
 
 
-def t_sin(u):
-    if isinstance(u, Taylor):
-        c = u.value
-        return _chain(u, t_sin(c), t_cos(c))
-    return math.sin(u)
+def _primitive(f, df, domain=None):
+    """The function ``f`` of a float, extended to a Taylor object ``u`` by
+    ``_chain`` with f'(c) = ``df(c, f(c))`` at its constant term c.
+
+    ``f`` raises outside the function's domain; ``domain(u)``, for a
+    function with no derivative at some point of it, raises where ``u``
+    sits at such a point."""
+    def primitive(u):
+        if isinstance(u, Taylor):
+            c = u.value
+            f0 = primitive(c)
+            if domain is not None:
+                domain(u)
+            return _chain(u, f0, df(c, f0))
+        return f(u)
+    return primitive
 
 
-def t_cos(u):
-    if isinstance(u, Taylor):
-        c = u.value
-        return _chain(u, t_cos(c), -t_sin(c))
-    return math.cos(u)
+def _kink_at_zero(name):
+    """The domain rule of a function with no derivative at zero."""
+    def domain(u):
+        if scalar_value(u.value) == 0.0:
+            raise NonSmoothPoint(f"{name} is not differentiable at zero")
+    return domain
 
 
-def t_tan(u):
-    return t_div(t_sin(u), t_cos(u))
-
-
-def t_exp(u):
-    if isinstance(u, Taylor):
-        e = t_exp(u.value)
-        return _chain(u, e, e)
+def _exp(u):
     try:
         return math.exp(u)
     except OverflowError:
         raise GeometryError(f"exp({u!r}) overflows") from None
 
 
-def t_ln(u):
-    if isinstance(u, Taylor):
-        c = u.value
-        if scalar_value(c) <= 0.0:
-            raise NonSmoothPoint("ln of a non-positive argument")
-        return _chain(u, t_ln(c), _inv(c))
+def _ln(u):
     if u <= 0.0:
         raise NonSmoothPoint("ln of a non-positive argument")
     return math.log(u)
 
 
-def t_sqrt(u):
-    if isinstance(u, Taylor):
-        sv = scalar_value(u.value)
-        if sv < 0.0:
-            raise NonSmoothPoint("sqrt of a negative argument")
-        if sv == 0.0:
-            raise NonSmoothPoint("sqrt is not differentiable at zero")
-        s = t_sqrt(u.value)
-        return _chain(u, s, 0.5 * _inv(s))
+def _sqrt(u):
     if u < 0.0:
         raise NonSmoothPoint("sqrt of a negative argument")
     return math.sqrt(u)
 
 
+def _reciprocal(u):
+    if u == 0.0:
+        raise NonSmoothPoint("division by zero")
+    return 1.0 / u
+
+
+t_sin = _primitive(math.sin, lambda c, s: t_cos(c))
+t_cos = _primitive(math.cos, lambda c, s: -t_sin(c))
+t_exp = _primitive(_exp, lambda c, e: e)
+t_ln = _primitive(_ln, lambda c, f0: _inv(c))
+t_sqrt = _primitive(_sqrt, lambda c, s: 0.5 * _inv(s), _kink_at_zero("sqrt"))
+_inv = _primitive(_reciprocal, lambda c, i1: -(i1 * i1))
+_abs_domain = _kink_at_zero("abs")
+
+
+def t_tan(u):
+    return t_div(t_sin(u), t_cos(u))
+
+
 def t_abs(u):
     if isinstance(u, Taylor):
-        sv = scalar_value(u.value)
-        if sv == 0.0:
-            raise NonSmoothPoint("abs is not differentiable at zero")
-        return u if sv > 0.0 else -u
+        _abs_domain(u)
+        return u if scalar_value(u.value) > 0.0 else -u
     return abs(u)
 
 
 def t_div(a, b):
-    if isinstance(b, Taylor):
-        return (a * b.reciprocal()) if not isinstance(a, Taylor) else a / b
+    if isinstance(a, Taylor) or isinstance(b, Taylor):
+        return a * _inv(b)
     if b == 0.0:
         raise NonSmoothPoint("division by zero")
-    if isinstance(a, Taylor):
-        return a * (1.0 / b)
     return a / b
 
 
@@ -273,6 +263,10 @@ def _opaque(fn, coords):
     return fn(coords)
 
 
+def _coordinate(index, coords):
+    return coords[index]
+
+
 def _arithmetic(op, reflected=False):
     """The method ``field <op> other`` (``other <op> field`` if
     ``reflected``), with a number taken as a constant field."""
@@ -333,7 +327,7 @@ class ScalarField:
     def coordinate(cls, m, r, index):
         if not 0 <= index < m + r:
             raise DimensionMismatch(f"coordinate index {index} out of range")
-        return cls(m, r, operator.itemgetter(index), (index,))
+        return cls(m, r, index, (index,), _coordinate)
 
     def __call__(self, coords):
         return evaluate([self], coords)[0]
