@@ -117,25 +117,33 @@ def _primitive(f, df, domain=None):
     """The function ``f`` of a float, extended to a Taylor object ``u`` by
     ``_chain`` with f'(c) = ``df(c, f(c))`` at its constant term c.
 
-    ``f`` raises outside the function's domain; ``domain(u)``, for a
-    function with no derivative at some point of it, raises where ``u``
-    sits at such a point."""
+    ``f`` raises outside the function's domain.  ``domain(u)``, for a
+    function without a derivative at zero, says whether f'(c) is needed
+    (see ``_kink_at_zero``); where it is not, f(u) is the constant f(c)
+    of the layer."""
     def primitive(u):
         if isinstance(u, Taylor):
             c = u.value
             f0 = primitive(c)
-            if domain is not None:
-                domain(u)
-            return _chain(u, f0, df(c, f0))
+            if domain is None or domain(u):
+                return _chain(u, f0, df(c, f0))
+            return Taylor(f0, {}, u.tag)
         return f(u)
     return primitive
 
 
 def _kink_at_zero(name):
-    """The domain rule of a function with no derivative at zero."""
+    """The domain rule of a function without a derivative at zero.  Off
+    zero f'(c) is needed (True).  At zero, a ``u`` with a term in its layer
+    raises, and one without is a constant of the layer (False): the
+    derivative along a coordinate that ``u`` does not depend on needs no
+    f'."""
     def domain(u):
-        if scalar_value(u.value) == 0.0:
+        if scalar_value(u.value) != 0.0:
+            return True
+        if u.grad:
             raise NonSmoothPoint(f"{name} is not differentiable at zero")
+        return False
     return domain
 
 
@@ -179,7 +187,8 @@ def t_tan(u):
 
 def t_abs(u):
     if isinstance(u, Taylor):
-        _abs_domain(u)
+        if not _abs_domain(u):
+            return Taylor(t_abs(u.value), {}, u.tag)
         return u if scalar_value(u.value) > 0.0 else -u
     return abs(u)
 

@@ -46,7 +46,7 @@ REAL_EXPONENTS = (0.5, 1.5, 2.5)
 ERRORS = (GeometryError, ArithmeticError, ValueError)
 
 # SHA-256 of ``records()``
-DIGEST = "90e6130a1b21866ab4dd4549ed6c9860222e7b6d3f15c135685b6c68cb5e766e"
+DIGEST = "feab6687cfb6e503b6e08593fe05c39e538afe88b59bbd904f54e573fb0afb9e"
 
 
 def leaf(rng, height):

@@ -117,6 +117,22 @@ def test_nonsmooth_points_raise():
         float(g.partial(0)([0.0, 1.0]))
 
 
+def test_kinks_at_zero_raise_only_along_a_varying_argument():
+    # sqrt and abs have no derivative at zero, but a partial along a
+    # coordinate that their argument does not depend on needs none
+    for name in ("sqrt", "abs"):
+        f = parse_field(f"{name}(y1)*x1^2", 1, 1)
+        assert f.partial(0)([0.5, 0.0]) == 0.0
+        assert f.partial(0).partial(0)([0.5, 0.0]) == 0.0
+        for g in (f.partial(1), f.partial(0).partial(1),
+                  f.partial(1).partial(0)):
+            with pytest.raises(NonSmoothPoint,
+                               match=f"{name} is not differentiable at zero"):
+                g([0.5, 0.0])
+        with pytest.raises(NonSmoothPoint):
+            eval_jet(f, Point((0.5,), (0.0,)), 1)
+
+
 def test_abs_and_integer_powers():
     assert t_abs(-2.5) == 2.5
     f = parse_field("pow(x1, 3)", 1, 0)
