@@ -461,9 +461,7 @@ def cmd_metrizability(geometry: Geometry, options) -> ValidationReport:
     samples = geometry.samples
     tol = geometry.tol("metrizability")
     G = _require_metric(geometry)
-    connection = build_connection(geometry, options.kind or "canonical")
-    if isinstance(connection, lagrange.NormalDConnection):
-        connection = connection.as_dconnection()
+    connection = build_connection(geometry, "canonical")
     return metrizability_residual(connection, G, samples, tol)
 
 

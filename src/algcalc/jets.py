@@ -5,10 +5,14 @@ Taylor arithmetic, nested once per derivative: a field defined as the partial
 derivative of another field adds one layer, so derived fields (e.g. a
 Hessian entry) remain differentiable themselves, and ``eval_jet`` nests one
 layer per order.  Each layer carries a tag so that operands from different
-layers never merge coefficients.
+layers never merge coefficients.  Each smooth primitive (sin, cos, exp,
+ln, sqrt, and the reciprocal that every division takes) is declared once,
+by its float function, its derivative and its domain rule; one chain rule
+carries each of them through a layer.
 
-A scalar field is a node of an expression graph; ``evaluate`` computes a
-list of fields at a point, each node once.
+A scalar field is a node of an expression graph: a constant, a coordinate,
+an op over other fields, or an opaque leaf that a caller builds.
+``evaluate`` computes a list of fields at a point, each node once.
 """
 
 from __future__ import annotations
@@ -297,10 +301,10 @@ class ScalarField:
 
     ``ScalarField(m, r, fn, deps)`` is an opaque leaf whose ``param`` is
     ``fn``: it takes the list of coordinates (floats or Taylor objects) and
-    returns a scalar of the same kind.  Every other node applies ``op`` to the values of its
-    ``args``; when ``param`` is not None, ``op`` takes ``param`` and the
-    coordinates first, as coordinates, partial derivatives, compositions
-    and matrix inverses do.  ``deps`` is the set of coordinate indices the
+    returns a scalar of the same kind.  Every other node applies ``op`` to
+    the values of its ``args``; when ``param`` is not None, ``op`` takes
+    ``param`` and the coordinates first, as coordinates (whose ``param`` is
+    the index), partial derivatives, compositions and matrix inverses do.  ``deps`` is the set of coordinate indices the
     field can depend on (None when unknown); partials with respect to any
     other coordinate are exactly zero.
 

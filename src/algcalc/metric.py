@@ -39,8 +39,10 @@ def _symmetrize(name, block):
 class MetricStructure:
     """Horizontal and vertical metric blocks with Riemannian flags.
 
-    A Riemannian flag asserts the block depends on x only; it lets the
-    constructions drop vertical derivatives of that block exactly.
+    A Riemannian flag asserts that the block depends on x only, and
+    ``__post_init__`` checks it against the dependence set of each entry;
+    nothing else reads the flags.  Vertical derivatives of an x-only entry
+    are exact zeros because of its ``deps``, flagged or not.
     """
 
     algebroid: GeneralizedAlgebroid
