@@ -5,14 +5,12 @@ Taylor arithmetic, nested once per derivative: a field defined as the partial
 derivative of another field adds one layer, so derived fields (e.g. a
 Hessian entry) remain differentiable themselves, and ``eval_jet`` nests one
 layer per order.  Each layer carries a tag so that operands from different
-layers never merge coefficients.  Each smooth primitive (sin, cos, exp,
-ln, sqrt, and the reciprocal that every division takes) is declared once,
-by its float function, its derivative and its domain rule; one chain rule
-carries each of them through a layer.
+layers never merge coefficients.  Each primitive (sin, cos, exp, ln, sqrt
+and the reciprocal of every division) is declared once, by its value, its
+derivative and its domain.
 
-A scalar field is a node of an expression graph: a constant, a coordinate,
-an op over other fields, or an opaque leaf that a caller builds.
-``evaluate`` computes a list of fields at a point, each node once.
+A scalar field is a node of an expression graph; ``evaluate`` computes a
+list of fields at a point, each node once.
 """
 
 from __future__ import annotations
@@ -118,13 +116,10 @@ def _chain(u: Taylor, f0, f1):
 
 
 def _primitive(f, df, domain=None):
-    """The function ``f`` of a float, extended to a Taylor object ``u`` by
-    ``_chain`` with f'(c) = ``df(c, f(c))`` at its constant term c.
-
-    ``f`` raises outside the function's domain.  ``domain(u)``, for a
-    function without a derivative at zero, says whether f'(c) is needed
-    (see ``_kink_at_zero``); where it is not, f(u) is the constant f(c)
-    of the layer."""
+    """``f`` of a float, extended to a Taylor ``u`` by ``_chain`` with
+    f'(c) = ``df(c, f(c))`` at its constant term c.  ``f`` raises outside
+    its domain; where ``domain(u)`` is False, f' is not needed and f(u) is
+    the constant f(c) of the layer."""
     def primitive(u):
         if isinstance(u, Taylor):
             c = u.value
@@ -137,11 +132,8 @@ def _primitive(f, df, domain=None):
 
 
 def _kink_at_zero(name):
-    """The domain rule of a function without a derivative at zero.  Off
-    zero f'(c) is needed (True).  At zero, a ``u`` with a term in its layer
-    raises, and one without is a constant of the layer (False): the
-    derivative along a coordinate that ``u`` does not depend on needs no
-    f'."""
+    """Domain rule of a function without a derivative at zero: at zero, a
+    ``u`` with a term in its layer raises, and one without needs no f'."""
     def domain(u):
         if scalar_value(u.value) != 0.0:
             return True
@@ -198,8 +190,7 @@ def t_abs(u):
 
 
 def t_div(a, b):
-    if isinstance(a, Taylor) or isinstance(b, Taylor):
-        return a * _inv(b)
+    # a Taylor ``b`` is never == 0.0: Taylor division checks it in ``_inv``
     if b == 0.0:
         raise NonSmoothPoint("division by zero")
     return a / b
