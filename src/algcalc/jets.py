@@ -295,9 +295,10 @@ class ScalarField:
     returns a scalar of the same kind.  Every other node applies ``op`` to
     the values of its ``args``; when ``param`` is not None, ``op`` takes
     ``param`` and the coordinates first, as coordinates (whose ``param`` is
-    the index), partial derivatives, compositions and matrix inverses do.  ``deps`` is the set of coordinate indices the
-    field can depend on (None when unknown); partials with respect to any
-    other coordinate are exactly zero.
+    the index), partial derivatives, compositions and matrix inverses do.
+    ``deps`` is the set of coordinate indices the field can depend on (None
+    when unknown); partials with respect to any other coordinate are
+    exactly zero.
 
     ``constant`` holds the value of a constant field (None otherwise).  A
     node whose inputs are all constant is computed at construction with
