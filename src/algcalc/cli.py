@@ -23,7 +23,7 @@ from typing import Optional
 from . import dtensor, lagrange
 from .algebroid import (FrameDiffeoData, GeneralizedAlgebroid, from_frame,
                         jacobi_residual, validate_structure)
-from .dtensor import DConnection, berwald, fiber_derivatives
+from .dtensor import berwald, fiber_base
 from .errors import ConfigError, GeometryError, ShapeError
 from .exprlang import parse_field
 from .jets import Point, ScalarField, evaluate_grid, leaves
@@ -382,19 +382,6 @@ def _require_metric(geometry: Geometry) -> MetricStructure:
     return geometry.metric
 
 
-def _simple_base(C: NonlinearConnection) -> DConnection:
-    """A base d-connection available for any (p, r): fiber derivatives of
-    the nonlinear connection on the vertical H-block, zero elsewhere."""
-    A = C.algebroid
-    if A.p == A.r:
-        return berwald(C)
-    return DConnection(C,
-                       hh=dtensor.zero_blocks(A, A.p, A.p, A.p),
-                       hv=fiber_derivatives(C),
-                       vh=dtensor.zero_blocks(A, A.p, A.p, A.r),
-                       vv=dtensor.zero_blocks(A, A.r, A.r, A.r))
-
-
 def build_connection(geometry: Geometry, kind: str):
     """Construct a d-connection (or normal d-connection) by kind."""
     A = geometry.algebroid
@@ -412,7 +399,7 @@ def build_connection(geometry: Geometry, kind: str):
             "yv": dtensor.zero_blocks(A, A.r, A.r, A.r)}
         return obata_deform(G, C, d["xh"], d["yh"], d["xv"], d["yv"])
     if kind == "base-deform":
-        return base_deform(_require_metric(geometry), _simple_base(C))
+        return base_deform(_require_metric(geometry), fiber_base(C))
     if kind == "levi-civita":
         return levi_civita_normal(C, _require_metric(geometry))
     if kind == "torsion-deform":
@@ -489,7 +476,7 @@ def cmd_transform_check(geometry: Geometry, options) -> ValidationReport:
     gamma_trip = [back.gamma[a][g] - C.gamma[a][g]
                   for a in range(A.r) for g in range(A.p)]
 
-    D = _simple_base(C)
+    D = fiber_base(C)
     primed_d = dtensor.transform_dconnection(D, F, chart0)
     back_d = dtensor.transform_dconnection(primed_d, F.inverse(), chart1)
     blocks = ("hh", "hv", "vh", "vv")

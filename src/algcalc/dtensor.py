@@ -168,6 +168,19 @@ def berwald(C: NonlinearConnection) -> DConnection:
                        vv=zero_blocks(A, A.r, A.r, A.r))
 
 
+def fiber_base(C: NonlinearConnection) -> DConnection:
+    """A base d-connection for any (p, r): ``berwald(C)`` when p = r;
+    otherwise the fiber derivatives of the nonlinear connection on the
+    vertical H-block ``hv`` and zero elsewhere."""
+    A = C.algebroid
+    if A.p == A.r:
+        return berwald(C)
+    return DConnection(C, hh=zero_blocks(A, A.p, A.p, A.p),
+                       hv=fiber_derivatives(C),
+                       vh=zero_blocks(A, A.p, A.p, A.r),
+                       vv=zero_blocks(A, A.r, A.r, A.r))
+
+
 def _cov_deriv(D: DConnection, T: DTensorField, vertical: bool):
     A = D.algebroid
     C = D.nlconn

@@ -8,6 +8,7 @@ recovered afterwards.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +17,7 @@ from .algebroid import GeneralizedAlgebroid, _check_grid, _freeze, contract
 from .dtensor import DConnection
 from .errors import DimensionMismatch, ShapeError
 from .jets import Point, ScalarField, compose
-from .metric import MetricStructure, _add_half_raised, \
+from .metric import MetricStructure, _absorb, \
     _koszul_christoffel, _vertical_christoffel
 from .nlconn import NonlinearConnection
 from .sampling import ValidationReport, fields_sweep_max, sweep
@@ -190,8 +191,9 @@ def torsion_deform(base: NormalDConnection, G: MetricStructure,
                     - g[b][d] * tor[d][e][c] + g[c][d] * tor[d][b][e]
             return out
 
-        return _add_half_raised(lambda a, b, c: block[a][b][c], G.gv_inv(),
-                                (n, n, n), corr)
+        return _absorb(block, G.gv_inv(), (n, n, n),
+                       {idx: corr(*idx)
+                        for idx in itertools.product(range(n), repeat=3)})
 
     return NormalDConnection(base.nlconn, h=deform(base.h, torsions.t),
                              v=deform(base.v, torsions.s))

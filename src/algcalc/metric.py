@@ -17,9 +17,9 @@ from . import linalg
 from .algebroid import GeneralizedAlgebroid, _check_grid, _check_x_only, \
     contract
 from .dtensor import DConnection, DTensorField, IndexSignature, DOWN, \
-    HORIZONTAL, VERTICAL, fiber_derivatives, h_cov_deriv, v_cov_deriv
+    HORIZONTAL, VERTICAL, fiber_base, h_cov_deriv, v_cov_deriv
 from .errors import SingularMetric
-from .jets import Point, ScalarField, evaluate_grid, leaves
+from .jets import Point, evaluate_grid, leaves
 from .nlconn import NonlinearConnection, delta_action
 from .sampling import ValidationReport, sweep
 
@@ -126,21 +126,33 @@ def metrizability_residual(D: DConnection, G: MetricStructure,
     return report
 
 
-def _christoffel(A, ginv, bracket):
-    """Christoffel block 0.5 * ginv^{ae} bracket(e, b, c), summed over e."""
-    n = len(ginv)
+def _christoffel(A, g, ginv, d, L=None):
+    """The Koszul sum of the metric block ``g`` (inverse ``ginv``) under
+    the derivation ``d(k, f)`` along index k: block [a][b][c] is
+    0.5 * ginv^{ae} (d_c g_{eb} + d_b g_{ec} - d_e g_{bc}), summed over e.
+    With structure functions ``L`` (the horizontal case, d = delta) the
+    bracket also carries g_{te} L^t_{cb} - g_{bt} L^t_{ce} - g_{tc} L^t_{be},
+    summed over t."""
+    n = len(g)
+
+    def bracket(e, b, c):
+        term = d(c, g[e][b]) + d(b, g[e][c]) - d(e, g[b][c])
+        if L is not None:
+            for t in range(n):
+                term = term + g[t][e] * L[t][c][b] - g[b][t] * L[t][c][e] \
+                    - g[t][c] * L[t][b][e]
+        return term
+
     sums = contract((n, n, n), (n,), lambda *_: A.zero_field(),
                     lambda a, b, c, e: ginv[a][e] * bracket(e, b, c))
     return [[[f * 0.5 for f in row] for row in plane] for plane in sums]
 
 
 def _vertical_christoffel(G: MetricStructure):
-    """vv[a][b][c] = (1/2) gv_inv^{ae} (d_c g_{eb} + d_b g_{ec} - d_e g_{bc})
-    with d the fiber partials."""
-    m, g = G.m, G.gv
-    return _christoffel(G.algebroid, G.gv_inv(), lambda e, b, c:
-                        g[e][b].partial(m + c) + g[e][c].partial(m + b)
-                        - g[b][c].partial(m + e))
+    """The fiber-partial Christoffel block vv[a][b][c] of ``gv``."""
+    m = G.m
+    return _christoffel(G.algebroid, G.gv, G.gv_inv(),
+                        lambda c, f: f.partial(m + c))
 
 
 def _koszul_christoffel(C: NonlinearConnection, g, ginv):
@@ -148,73 +160,39 @@ def _koszul_christoffel(C: NonlinearConnection, g, ginv):
     ``g`` (p x p) with inverse ``ginv``: the adapted-frame Koszul formula,
     with the structure-function correction terms."""
     A = C.algebroid
-    L = A.L
-
-    def bracket(eps, beta, gamma):
-        term = (delta_action(C, gamma, g[eps][beta])
-                + delta_action(C, beta, g[eps][gamma])
-                - delta_action(C, eps, g[beta][gamma]))
-        for theta in range(A.p):
-            term = term + g[theta][eps] * L[theta][gamma][beta] \
-                - g[beta][theta] * L[theta][gamma][eps] \
-                - g[theta][gamma] * L[theta][beta][eps]
-        return term
-
-    return _christoffel(A, ginv, bracket)
+    return _christoffel(A, g, ginv, lambda k, f: delta_action(C, k, f), A.L)
 
 
-def _add_half_raised(start, ginv, shape, x):
-    """Block of ``shape`` with entries start(a, b, c) + 0.5 * ginv^{ae}
-    x(e, b, c), summed over e: a base block plus half the covariant
+def _absorb(block, ginv, shape, deriv):
+    """Block of ``shape`` with entries block[a][b][c] + 0.5 * ginv^{ae}
+    deriv[(e, b, c)], summed over e: a base block plus half the covariant
     derivative of the metric (or, for prescribed torsions, the lowered
     contorsion) with its first index raised."""
-    return contract(shape, (len(ginv),), start,
-                    lambda a, b, c, e: 0.5 * ginv[a][e] * x(e, b, c))
+    return contract(shape, (len(ginv),), lambda a, b, c: block[a][b][c],
+                    lambda a, b, c, e: 0.5 * ginv[a][e] * deriv[(e, b, c)])
 
 
 def canonical_dconnection(G: MetricStructure,
                           base: DConnection) -> DConnection:
     """The metrical d-connection built over ``base``: Koszul horizontal and
-    vertical Christoffel blocks, plus base-connection corrections on the
-    mixed blocks."""
+    vertical Christoffel blocks; the mixed blocks absorb half of the
+    covariant derivatives of the metric under ``base``."""
     p, r = G.p, G.r
-    gv_h0 = h_cov_deriv(base, G.v_tensor())   # g_{bc} h-derivative at base
-    gh_v0 = v_cov_deriv(base, G.h_tensor())   # g_{beta eps} v-derivative
     return DConnection(
         base.nlconn,
         hh=_koszul_christoffel(base.nlconn, G.gh, G.gh_inv()),
-        hv=_add_half_raised(lambda a, b, g: base.hv[a][b][g], G.gv_inv(),
-                            (r, r, p), lambda c, b, g: gv_h0[(b, c, g)]),
-        vh=_add_half_raised(lambda a, b, c: base.vh[a][b][c], G.gh_inv(),
-                            (p, p, r), lambda e, b, c: gh_v0[(b, e, c)]),
+        hv=_absorb(base.hv, G.gv_inv(), (r, r, p),
+                   h_cov_deriv(base, G.v_tensor())),
+        vh=_absorb(base.vh, G.gh_inv(), (p, p, r),
+                   v_cov_deriv(base, G.h_tensor())),
         vv=_vertical_christoffel(G))
 
 
 def berwald_canonical(G: MetricStructure,
                       C: NonlinearConnection) -> DConnection:
-    """The canonical construction with the fiber-derivative base connection
-    written out directly; valid for any p, r."""
-    A = G.algebroid
-    m, p, r = A.m, A.p, A.r
-    dgamma = fiber_derivatives(C)
-
-    def cov(c, b, gamma):
-        out = delta_action(C, gamma, G.gv[b][c])
-        for e in range(r):
-            out = out - dgamma[e][b][gamma] * G.gv[e][c] \
-                - dgamma[e][c][gamma] * G.gv[b][e]
-        return out
-
-    return DConnection(
-        C,
-        hh=_koszul_christoffel(C, G.gh, G.gh_inv()),
-        hv=_add_half_raised(
-            lambda a, b, g: A.zero_field() + dgamma[a][b][g],
-            G.gv_inv(), (r, r, p), cov),
-        vh=_add_half_raised(lambda *_: A.zero_field(), G.gh_inv(),
-                            (p, p, r),
-                            lambda e, b, c: G.gh[b][e].partial(m + c)),
-        vv=_vertical_christoffel(G))
+    """The canonical construction over ``fiber_base(C)``, the
+    fiber-derivative base connection; valid for any p, r."""
+    return canonical_dconnection(G, fiber_base(C))
 
 
 @dataclass(frozen=True)
@@ -227,45 +205,38 @@ class ObataPair:
     ov_star: tuple
 
 
+def _obata_fields(A, g, ginv):
+    """The Obata projectors (O, O*) of the metric block ``g`` with inverse
+    ``ginv``, as fields with index order [a][e][b][c]: O* = (id + X)/2 and
+    O = id - O*, with X[a][e][b][c] = g_{bc} ginv^{ae}.
+
+    O* is computed as id - (id/2 - X/2), the complement taken twice, so
+    that O + O* is the identity exactly in floating point: after the second
+    pass the rounding error in O is below half an ulp of id, so the
+    addition rounds back to id."""
+    n = len(g)
+
+    def grid(entry):
+        return [[[[entry(a, e, b, c) for c in range(n)] for b in range(n)]
+                 for e in range(n)] for a in range(n)]
+
+    def ident(a, e, b, c):
+        return A.const_field(1.0 if (a == b and e == c) else 0.0)
+
+    o_star = grid(lambda a, e, b, c: ident(a, e, b, c) - (
+        0.5 * ident(a, e, b, c) - 0.5 * g[b][c] * ginv[a][e]))
+    o = grid(lambda a, e, b, c: ident(a, e, b, c) - o_star[a][e][b][c])
+    return o, o_star
+
+
 def obata_pair(G: MetricStructure, point: Point) -> ObataPair:
-    """O = (id - g-transpose)/2 and O* = (id + g-transpose)/2 on each
-    family; they sum to the identity on (1,1)-tensors exactly."""
-    def build(g, gi, n):
-        o = [[[[0.0] * n for _ in range(n)] for _ in range(n)]
-             for _ in range(n)]
-        o_star = [[[[0.0] * n for _ in range(n)] for _ in range(n)]
-                  for _ in range(n)]
-        for a in range(n):
-            for e in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        ident = 1.0 if (a == b and e == c) else 0.0
-                        cross = 0.5 * g[b][c] * gi[a][e]
-                        # complement twice so the pair sums to the identity
-                        # exactly in floating point: after the second pass
-                        # the rounding error in o is below half an ulp of
-                        # ident, so the addition rounds back to ident
-                        star = ident - (0.5 * ident - cross)
-                        o[a][e][b][c] = ident - star
-                        o_star[a][e][b][c] = star
-        return o, o_star
-
-    (gh, gh_inv), (gv, gv_inv) = evaluate_grid(
-        [[G.gh, G.gh_inv()], [G.gv, G.gv_inv()]], point.coords())
-    oh, oh_star = build(gh, gh_inv, G.p)
-    ov, ov_star = build(gv, gv_inv, G.r)
-    return ObataPair(oh=oh, oh_star=oh_star, ov=ov, ov_star=ov_star)
-
-
-def _obata_fields(G: MetricStructure, block, inv_block, n, star):
-    """Obata projector entries as fields: index order [a][e][b][c]."""
-    A = G.algebroid
-    sign = 1.0 if star else -1.0
-    return contract(
-        (n, n, n, n), (),
-        lambda a, e, b, c: ScalarField.const(
-            A.m, A.r, 0.5 if (a == b and e == c) else 0.0),
-        lambda a, e, b, c: (0.5 * sign) * block[b][c] * inv_block[a][e])
+    """Values at a point of O = (id - g-transpose)/2 and O* = (id +
+    g-transpose)/2 on each family; they sum to the identity on
+    (1,1)-tensors exactly."""
+    oh, oh_star = _obata_fields(G.algebroid, G.gh, G.gh_inv())
+    ov, ov_star = _obata_fields(G.algebroid, G.gv, G.gv_inv())
+    values = evaluate_grid([oh, oh_star, ov, ov_star], point.coords())
+    return ObataPair(*values)
 
 
 def obata_deform(G: MetricStructure, C: NonlinearConnection,
@@ -284,8 +255,8 @@ def obata_deform(G: MetricStructure, C: NonlinearConnection,
     _check_grid("xv", xv, (p, p, r))
     _check_grid("yv", yv, (r, r, r))
     base = berwald_canonical(G, C)
-    oh = _obata_fields(G, G.gh, G.gh_inv(), p, star=False)
-    ov = _obata_fields(G, G.gv, G.gv_inv(), r, star=False)
+    oh, _ = _obata_fields(A, G.gh, G.gh_inv())
+    ov, _ = _obata_fields(A, G.gv, G.gv_inv())
 
     # each deformation projects the parameter tensor onto the piece whose
     # g-lowering is antisymmetric in (upper index, differentiated index);
@@ -308,18 +279,13 @@ def base_deform(G: MetricStructure, base: DConnection) -> DConnection:
     """Metrical connection obtained from an arbitrary base d-connection by
     absorbing half of each covariant derivative of the metric."""
     p, r = G.p, G.r
-
-    def absorb(block, ginv, shape, deriv):
-        return _add_half_raised(lambda a, b, c: block[a][b][c], ginv,
-                                shape, lambda e, b, c: deriv[(e, b, c)])
-
     return DConnection(
         base.nlconn,
-        hh=absorb(base.hh, G.gh_inv(), (p, p, p),
-                  h_cov_deriv(base, G.h_tensor())),
-        hv=absorb(base.hv, G.gv_inv(), (r, r, p),
-                  h_cov_deriv(base, G.v_tensor())),
-        vh=absorb(base.vh, G.gh_inv(), (p, p, r),
-                  v_cov_deriv(base, G.h_tensor())),
-        vv=absorb(base.vv, G.gv_inv(), (r, r, r),
-                  v_cov_deriv(base, G.v_tensor())))
+        hh=_absorb(base.hh, G.gh_inv(), (p, p, p),
+                   h_cov_deriv(base, G.h_tensor())),
+        hv=_absorb(base.hv, G.gv_inv(), (r, r, p),
+                   h_cov_deriv(base, G.v_tensor())),
+        vh=_absorb(base.vh, G.gh_inv(), (p, p, r),
+                   v_cov_deriv(base, G.h_tensor())),
+        vv=_absorb(base.vv, G.gv_inv(), (r, r, r),
+                   v_cov_deriv(base, G.v_tensor())))
