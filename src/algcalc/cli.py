@@ -119,13 +119,28 @@ class Geometry:
         return generate(self.box, self.count, self.seed, self.fiber_floor)
 
 
-def _expect(config, key, kind, where):
-    if key not in config:
-        raise ConfigError(f"missing '{key}' in {where}")
-    value = config[key]
-    if not isinstance(value, kind):
-        raise ConfigError(f"'{key}' in {where} has the wrong type")
-    return value
+def _expect(section, key, check, where):
+    """``check(section[key], path)`` for the required entry ``key`` of the
+    object ``section`` at ``where`` (None for the top level)."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
+    if key not in section:
+        raise ConfigError(f"missing '{key}' in {where or 'config'}")
+    return check(section[key], key if where is None else f"{where}.{key}")
+
+
+def _typed(kind, noun):
+    """The check that a JSON value at ``where`` is a ``kind``."""
+    def check(value, where):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{where} must be {noun}")
+        return value
+    return check
+
+
+_object = _typed(dict, "an object")
+_list = _typed(list, "a list")
+_boolean = _typed(bool, "a boolean")
 
 
 def _number(value, where):
@@ -197,7 +212,7 @@ def _field_grid(value, shape, m, r, where):
 
 def _spec_grid(spec, key, shape, m, r, where):
     """The field grid ``spec[key]``, named ``where.key`` in errors."""
-    return _field_grid(_expect(spec, key, list, where), shape, m, r,
+    return _field_grid(_expect(spec, key, _list, where), shape, m, r,
                        f"{where}.{key}")
 
 
@@ -220,15 +235,12 @@ def load_config(source) -> Geometry:
             raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    version = _expect(config, "schema_version", int, "config")
+    version = _expect(config, "schema_version", _integer, None)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
 
-    dims = _expect(config, "dims", dict, "config")
-    try:
-        m, p, r = int(dims["m"]), int(dims["p"]), int(dims["r"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError("dims must give integer m, p, r") from err
+    dims = _expect(config, "dims", _object, None)
+    m, p, r = (_expect(dims, key, _integer, "dims") for key in "mpr")
 
     frame = None
     structure = config.get("structure", "zero")
@@ -236,8 +248,9 @@ def load_config(source) -> Geometry:
         if m != p:
             raise ConfigError("a frame structure needs m == p")
         spec = structure["frame"]
-        theta = _spec_grid(spec, "theta", (m, m), m, r, "frame")
-        theta_inv = _spec_grid(spec, "theta_inv", (m, m), m, r, "frame")
+        theta = _spec_grid(spec, "theta", (m, m), m, r, "structure.frame")
+        theta_inv = _spec_grid(spec, "theta_inv", (m, m), m, r,
+                               "structure.frame")
         try:
             frame = FrameDiffeoData(m, r, theta, theta_inv)
             A = from_frame(frame)
@@ -291,11 +304,10 @@ def load_config(source) -> Geometry:
     if metric_spec is not None:
         gh = _spec_grid(metric_spec, "h", (p, p), m, r, "metric")
         gv = _spec_grid(metric_spec, "v", (r, r), m, r, "metric")
+        flags = {key: _boolean(metric_spec.get(key, False), f"metric.{key}")
+                 for key in ("h_riemannian", "v_riemannian")}
         try:
-            geometry.metric = MetricStructure(
-                A, gh=gh, gv=gv,
-                h_riemannian=bool(metric_spec.get("h_riemannian", False)),
-                v_riemannian=bool(metric_spec.get("v_riemannian", False)))
+            geometry.metric = MetricStructure(A, gh=gh, gv=gv, **flags)
         except GeometryError as err:
             raise ConfigError(f"bad metric data: {err}") from err
     elif fundamental_spec is not None:
@@ -333,9 +345,7 @@ def load_config(source) -> Geometry:
             for key, shape in (("xh", (p, p, p)), ("yh", (r, r, p)),
                                ("xv", (p, p, r)), ("yv", (r, r, r)))}
 
-    sampling_spec = config.get("sampling", {})
-    if not isinstance(sampling_spec, dict):
-        raise ConfigError("'sampling' must be an object")
+    sampling_spec = _object(config.get("sampling", {}), "sampling")
     x_box = _box(sampling_spec, "x_box", m)
     y_box = _box(sampling_spec, "y_box", r)
     try:
@@ -349,16 +359,12 @@ def load_config(source) -> Geometry:
     geometry.fiber_floor = None if floor is None else \
         _number(floor, "sampling.fiber_floor")
 
-    tolerances = config.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("'tolerances' must be an object")
+    tolerances = _object(config.get("tolerances", {}), "tolerances")
     for name, tol in tolerances.items():
         _nonnegative(_number(tol, f"tolerances.{name}"), f"tolerances.{name}")
     geometry.tolerances = tolerances
 
-    probes = config.get("probes", [])
-    if not isinstance(probes, list):
-        raise ConfigError("'probes' must be a list")
+    probes = _list(config.get("probes", []), "probes")
     for i, probe in enumerate(probes):
         if not isinstance(probe, list) or len(probe) != m + r:
             raise ConfigError(f"probes[{i}] must list {m + r} coordinates")

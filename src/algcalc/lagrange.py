@@ -64,7 +64,9 @@ def _rank_defect(block):
 
 def _indefinite(block):
     pivots = linalg.sym_pivots(block)
-    return 0.0 if all(p > linalg.RANK_TOL for p in pivots) else 1.0
+    # sym_pivots gives 0.0 for every pivot below its tolerance relative to
+    # the scale of the block, so the test needs no absolute bound
+    return 0.0 if all(p > 0.0 for p in pivots) else 1.0
 
 
 def regularity_check(block, samples: Sequence[Point]) -> ValidationReport:

@@ -227,6 +227,15 @@ def test_deeply_nested_expression_is_config_failure(capsys, tmp_path):
     (None, "probes", [[0, 0, "a", 1]], "probes[0][2]"),
     ("sampling", "count", -1, "sampling.count"),
     ("sampling", "count", 0, "sampling.count"),
+    (None, "metric", 0, "metric"),
+    (None, "structure", {"frame": True}, "structure.frame"),
+    (None, "torsions", 3, "torsions"),
+    (None, "deform", 5, "deform"),
+    (None, "frame_change", [1], "frame_change"),
+    ("dims", "m", 2.5, "dims.m"),
+    ("dims", "m", "2", "dims.m"),
+    (None, "schema_version", True, "schema_version"),
+    ("metric", "h_riemannian", "false", "metric.h_riemannian"),
 ])
 def test_malformed_config_values_name_their_path(capsys, tmp_path, section,
                                                  key, value, path):
@@ -323,3 +332,51 @@ def test_report_draws_samples_once_with_the_flag_overrides(capsys,
         check = payload["residuals"][name]
         assert check["tol"] == 0.5
         assert check["argmax"] in payload["samples"]
+
+
+@pytest.mark.parametrize("scale", ["1e-6", "1e-12"])
+def test_scaled_finsler_function_stays_positive_definite(capsys, tmp_path,
+                                                         scale):
+    # a constant multiple of F is exactly as definite as F: the pivots of
+    # its Hessian are judged against the Hessian's own scale
+    with open(fixture_path("randers.json")) as handle:
+        config = json.load(handle)
+    config["finsler"] = f"{scale}*({config['finsler']})"
+    target = tmp_path / "config.json"
+    target.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, "finsler-check", str(target))
+    residuals = json.loads(out)["residuals"]
+    assert residuals["positive_definite_defect"]["max"] == 0.0
+    assert residuals["hessian_rank_defect"]["max"] == 0.0
+    assert code == 0
+
+
+def test_metric_constructions_with_p_unequal_r(capsys, tmp_path):
+    # m = 2, p = 3, r = 2: the canonical constructions run over the
+    # fiber-derivative base, which puts the fiber derivatives of gamma on
+    # the hv block alone
+    path = write_config(
+        tmp_path, dims={"m": 2, "p": 3, "r": 2},
+        anchor=[[1, 0, 0.5], [0, 1, -0.25]],
+        connection={"gamma": [["0.1*y1 + 0.2*x1*y2", "0.3*y2", "0.05*y1*y2"],
+                              ["-0.2*y2", "0.1*x2*y1", "0.2*y1^2"]]},
+        metric={"h": [["2 + 0.1*y1^2", "0.1*x1*y2", "0"],
+                      ["0.1*x1*y2", "2 + 0.1*x2^2", "0.05*y1"],
+                      ["0", "0.05*y1", "1.5 + 0.1*y2^2"]],
+                "v": [["1 + 0.2*y2^2", "0.1*x1*y1"],
+                      ["0.1*x1*y1", "1 + 0.2*x2^2 + 0.1*y1^2"]]},
+        sampling={"count": 10, "seed": 3})
+    code, out, _ = run_cli(capsys, "metrizability", path)
+    assert code == 0
+    residuals = json.loads(out)["residuals"]
+    assert len(residuals) == 4
+    for check in residuals.values():
+        assert check["max"] <= 1e-12
+    for kind in ("canonical", "obata", "base-deform"):
+        code, out, _ = run_cli(capsys, "connection", kind, path)
+        assert code == 0, kind
+        blocks = json.loads(out)["metadata"]["blocks"]
+        assert set(blocks) == {"hh", "hv", "vh", "vv"}
+    code, out, err = run_cli(capsys, "connection", "berwald", path)
+    assert code == 2 and out == ""
+    assert err == "error: the fiber-derivative connection needs p = r\n"
