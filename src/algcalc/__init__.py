@@ -8,7 +8,7 @@ from .algebroid import (FrameDiffeoData, GeneralizedAlgebroid, Section,
                         constant_section, from_frame, jacobi_residual,
                         validate_structure)
 from .dtensor import (DConnection, DTensorField, IndexSignature, berwald,
-                      cov_deriv_along, fiber_base, h_cov_deriv, scalar_tensor,
+                      cov_deriv_along, h_cov_deriv, scalar_tensor,
                       tensor_product, transform_dconnection, v_cov_deriv)
 from .errors import (ArityError, ConfigError, DimensionMismatch, EmptyBox,
                      ExprSyntaxError, GeometryError, IndexOutOfRange,
