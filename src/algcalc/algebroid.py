@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from . import linalg
 from .errors import DimensionMismatch, ShapeError, SingularFrame

@@ -216,6 +216,63 @@ def _spec_grid(spec, key, shape, m, r, where):
                        f"{where}.{key}")
 
 
+def _check_grids(config, m, p, r):
+    """Check the raw JSON of every field grid the config gives against its
+    shape, and which metric entries it gives, before any field is built:
+    building is the costly part, and grows as the cube of ``dims``."""
+    def grid(value, shape, where):
+        if shape:
+            if not isinstance(value, list) or len(value) != shape[0]:
+                raise ShapeError(
+                    f"{where} must be a list of length {shape[0]}")
+            for i, v in enumerate(value):
+                grid(v, shape[1:], f"{where}[{i}]")
+
+    def entries(section, where, shapes):
+        for key, shape in shapes:
+            grid(_expect(section, key, _list, where), shape, f"{where}.{key}")
+
+    structure = config.get("structure", "zero")
+    if isinstance(structure, dict) and "frame" in structure:
+        if m != p:
+            raise ConfigError("a frame structure needs m == p")
+        entries(structure["frame"], "structure.frame",
+                (("theta", (m, m)), ("theta_inv", (m, m))))
+    else:
+        anchor = config.get("anchor", "identity")
+        if anchor == "identity":
+            if m != p:
+                raise ConfigError("anchor 'identity' needs m == p")
+        else:
+            grid(anchor, (m, p), "anchor")
+        if structure != "zero":
+            grid(structure, (p, p, p), "structure")
+    connection = config.get("connection", "zero")
+    if isinstance(connection, dict) and "gamma" in connection:
+        grid(connection["gamma"], (r, p), "connection.gamma")
+    elif isinstance(connection, dict) and "ehresmann" in connection:
+        grid(connection["ehresmann"], (r, m), "connection.ehresmann")
+    given = [key for key in ("metric", "lagrangian", "finsler")
+             if key in config]
+    if len(given) > 1:
+        raise ConfigError(
+            "config must give at most one of metric, lagrangian, finsler")
+    if "metric" in config:
+        entries(config["metric"], "metric", (("h", (p, p)), ("v", (r, r))))
+    if "frame_change" in config:
+        entries(config["frame_change"], "frame_change",
+                (("lam", (p, p)), ("lam_inv", (p, p)), ("m", (r, r)),
+                 ("m_inv", (r, r)), ("basemap", (m,)),
+                 ("basemap_inv", (m,))))
+    if "torsions" in config:
+        entries(config["torsions"], "torsions",
+                (("t", (r, r, r)), ("s", (r, r, r))))
+    if "deform" in config:
+        entries(config["deform"], "deform",
+                (("xh", (p, p, p)), ("yh", (r, r, p)), ("xv", (p, p, r)),
+                 ("yv", (r, r, r))))
+
+
 def _identity_grid(n, m, r):
     return [[ScalarField.const(m, r, 1.0 if i == j else 0.0)
              for j in range(n)] for i in range(n)]
@@ -241,12 +298,11 @@ def load_config(source) -> Geometry:
 
     dims = _expect(config, "dims", _object, None)
     m, p, r = (_expect(dims, key, _integer, "dims") for key in "mpr")
+    _check_grids(config, m, p, r)
 
     frame = None
     structure = config.get("structure", "zero")
     if isinstance(structure, dict) and "frame" in structure:
-        if m != p:
-            raise ConfigError("a frame structure needs m == p")
         spec = structure["frame"]
         theta = _spec_grid(spec, "theta", (m, m), m, r, "structure.frame")
         theta_inv = _spec_grid(spec, "theta_inv", (m, m), m, r,
@@ -259,8 +315,6 @@ def load_config(source) -> Geometry:
     else:
         anchor = config.get("anchor", "identity")
         if anchor == "identity":
-            if m != p:
-                raise ConfigError("anchor 'identity' needs m == p")
             rho = _identity_grid(m, m, r)
         else:
             rho = _field_grid(anchor, (m, p), m, r, "anchor")
@@ -296,12 +350,8 @@ def load_config(source) -> Geometry:
 
     geometry = Geometry(m=m, p=p, r=r, algebroid=A, connection=C, frame=frame)
 
-    metric_spec = config.get("metric")
-    fundamental_spec = config.get("lagrangian") or config.get("finsler")
-    if metric_spec is not None and fundamental_spec is not None:
-        raise ConfigError(
-            "give either 'metric' or a fundamental function, not both")
-    if metric_spec is not None:
+    if "metric" in config:
+        metric_spec = config["metric"]
         gh = _spec_grid(metric_spec, "h", (p, p), m, r, "metric")
         gv = _spec_grid(metric_spec, "v", (r, r), m, r, "metric")
         flags = {key: _boolean(metric_spec.get(key, False), f"metric.{key}")
@@ -310,11 +360,10 @@ def load_config(source) -> Geometry:
             geometry.metric = MetricStructure(A, gh=gh, gv=gv, **flags)
         except GeometryError as err:
             raise ConfigError(f"bad metric data: {err}") from err
-    elif fundamental_spec is not None:
-        kind = "lagrange" if config.get("lagrangian") else "finsler"
-        value = _coeff_field(fundamental_spec, m, r,
-                             "lagrangian" if kind == "lagrange" else "finsler")
-        geometry.fundamental = FundamentalFunction(A, value, kind)
+    for key, kind in (("lagrangian", "lagrange"), ("finsler", "finsler")):
+        if key in config:
+            geometry.fundamental = FundamentalFunction(
+                A, _coeff_field(config[key], m, r, key), kind)
 
     change_spec = config.get("frame_change")
     if change_spec is not None:

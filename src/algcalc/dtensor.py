@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .algebroid import GeneralizedAlgebroid, _check_grid, _freeze, contract
 from .errors import DimensionMismatch, IndexOutOfRange, ShapeError
-from .jets import Point, ScalarField
+from .jets import ScalarField
 from .nlconn import ChartFrame, FrameChange, NonlinearConnection, \
-    default_chart, delta_action, transform_chart
+    default_chart, delta_action
 
 HORIZONTAL = "H"
 VERTICAL = "V"

@@ -1,16 +1,26 @@
-"""Forward-mode jets for scalar fields on bundle coordinates.
+"""Jets and derivatives of scalar fields on bundle coordinates.
 
-Coordinates are ordered (x1..xm, y1..yr).  Derivatives come from first-order
-Taylor arithmetic, nested once per derivative: a field defined as the partial
-derivative of another field adds one layer, so derived fields (e.g. a
-Hessian entry) remain differentiable themselves, and ``eval_jet`` nests one
-layer per order.  Each layer carries a tag so that operands from different
-layers never merge coefficients.  Each primitive (sin, cos, exp, ln, sqrt
-and the reciprocal of every division) is declared once, by its value, its
-derivative and its domain.
+Coordinates are ordered (x1..xm, y1..yr).  A scalar field is a node of an
+expression graph; ``evaluate`` computes a list of fields at a point, each
+node once.  Equal nodes are one node: ``derived``, ``ScalarField.const``
+and ``ScalarField.coordinate`` return the node already built for the same
+key while it lives, from a table that holds nodes weakly.
 
-A scalar field is a node of an expression graph; ``evaluate`` computes a
-list of fields at a point, each node once.
+``partial`` differentiates symbolically.  It builds the derivative as graph
+nodes, once per node and coordinate, by running first-order Taylor
+arithmetic over graph nodes instead of floats: each value and coefficient
+that a first-order Taylor layer seeded along the coordinate computes at a
+point becomes a node that computes it.  So a partial agrees with that
+layer bit for bit and raises where it raises, and a derived field (e.g. a
+Hessian entry) is a graph that is differentiable again.  Each primitive
+(sin, cos, exp, ln, sqrt and the reciprocal of every division) is declared
+once, by its value, its derivative and its domain, and both kinds of layer
+read that one derivative.
+
+Numeric layers remain where no graph can be seen into: ``eval_jet`` nests
+one per order, and the partial of an opaque leaf or of a matrix inverse
+runs one at each point.  Each numeric layer carries a tag so that operands
+from different layers never merge coefficients.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -115,32 +126,57 @@ def _chain(u: Taylor, f0, f1):
 # -- smooth primitives, generic over float / Taylor ------------------------
 
 
-def _primitive(f, df, domain=None):
+def _primitive(f, df, kink=None):
     """``f`` of a float, extended to a Taylor ``u`` by ``_chain`` with
-    f'(c) = ``df(c, f(c))`` at its constant term c.  ``f`` raises outside
-    its domain; where ``domain(u)`` is False, f' is not needed and f(u) is
-    the constant f(c) of the layer."""
+    f'(c) = ``df(c, f(c))`` at its constant term c, and to a field by a
+    node.  ``f`` raises outside its domain.  ``kink`` names a function
+    without a derivative at zero: there a ``u`` with a term in its layer
+    raises, and one without needs no f' and has the constant f(c)."""
     def primitive(u):
+        if type(u) is float:
+            return f(u)
         if isinstance(u, Taylor):
             c = u.value
             f0 = primitive(c)
-            if domain is None or domain(u):
+            if kink is None:
                 return _chain(u, f0, df(c, f0))
+            if isinstance(c, ScalarField):
+                return _kinked_chain(u, f0, primitive, df, kink)
+            if scalar_value(c) != 0.0:
+                return _chain(u, f0, df(c, f0))
+            if u.grad:
+                raise NonSmoothPoint(f"{kink} is not differentiable at zero")
             return Taylor(f0, {}, u.tag)
+        if isinstance(u, ScalarField):
+            return derived(primitive, (u,))
         return f(u)
     return primitive
 
 
-def _kink_at_zero(name):
-    """Domain rule of a function without a derivative at zero: at zero, a
-    ``u`` with a term in its layer raises, and one without needs no f'."""
-    def domain(u):
-        if scalar_value(u.value) != 0.0:
-            return True
-        if u.grad:
+def _kink_check(name):
+    """The op ``check(c, x)``: ``x``, after raising where ``c`` is zero."""
+    def check(c, x):
+        if _over_nodes(c, x):
+            return _through(check, (c, x), x)
+        if scalar_value(c) == 0.0:
             raise NonSmoothPoint(f"{name} is not differentiable at zero")
-        return False
-    return domain
+        return x
+    return check
+
+
+def _kinked_chain(u, f0, primitive, df, kink):
+    """The kinked primitive of a ``u`` over graph nodes.  Which branch the
+    numeric layer takes depends on the value c of ``u`` at the point, so
+    both are nodes: the chained value where c is nonzero (computed at 1.0
+    where it is zero, so that it cannot raise there) or ``f0``, and each
+    coefficient checks c first."""
+    c = u.value
+    nonzero = derived(_nonzero_or_one, (c,))
+    chained = _chain(u, f0, df(nonzero, primitive(nonzero)))
+    check = _KINK_CHECKS[kink]
+    return Taylor(derived(_where_nonzero, (c, chained.value, f0)),
+                  {k: derived(check, (c, g)) for k, g in chained.grad.items()},
+                  u.tag)
 
 
 def _exp(u):
@@ -172,9 +208,9 @@ t_sin = _primitive(math.sin, lambda c, s: t_cos(c))
 t_cos = _primitive(math.cos, lambda c, s: -t_sin(c))
 t_exp = _primitive(_exp, lambda c, e: e)
 t_ln = _primitive(_ln, lambda c, f0: _inv(c))
-t_sqrt = _primitive(_sqrt, lambda c, s: 0.5 * _inv(s), _kink_at_zero("sqrt"))
+t_sqrt = _primitive(_sqrt, lambda c, s: 0.5 * _inv(s), "sqrt")
 _inv = _primitive(_reciprocal, lambda c, i1: -(i1 * i1))
-_abs_domain = _kink_at_zero("abs")
+_KINK_CHECKS = {"sqrt": _kink_check("sqrt")}
 
 
 def t_tan(u):
@@ -183,10 +219,32 @@ def t_tan(u):
 
 def t_abs(u):
     if isinstance(u, Taylor):
-        if not _abs_domain(u):
-            return Taylor(t_abs(u.value), {}, u.tag)
-        return u if scalar_value(u.value) > 0.0 else -u
+        c = u.value
+        if isinstance(c, ScalarField):
+            return Taylor(derived(t_abs, (c,)),
+                          {k: derived(_signed, (c, _as_field(g, c)))
+                           for k, g in u.grad.items()}, u.tag)
+        if scalar_value(c) == 0.0:
+            if u.grad:
+                raise NonSmoothPoint("abs is not differentiable at zero")
+            return Taylor(t_abs(c), {}, u.tag)
+        return u if scalar_value(c) > 0.0 else -u
+    if isinstance(u, ScalarField):
+        return derived(t_abs, (u,))
     return abs(u)
+
+
+def _signed(c, g):
+    """The coefficient of abs(u) from the coefficient ``g`` of u at the
+    value ``c`` of u: ``g`` or ``-g`` by the sign of ``c``."""
+    if _over_nodes(c, g):
+        cv = c.value
+        return Taylor(derived(_signed, (cv, _as_field(_value(g), cv))),
+                      {k: derived(_signed, (cv, _as_field(v, cv)))
+                       for k, v in _grad(g).items()}, _NODE_TAG)
+    if scalar_value(c) == 0.0:
+        raise NonSmoothPoint("abs is not differentiable at zero")
+    return g if scalar_value(c) > 0.0 else -g
 
 
 def t_div(a, b):
@@ -201,10 +259,26 @@ def t_pow(base, exponent):
     base must be positive (exp/ln path)."""
     if _is_number(exponent) and float(exponent).is_integer():
         return _pow_int(base, int(exponent))
+    return _pow_exp(base, exponent, exponent * t_ln(_pow_base(base)))
+
+
+def _pow_base(base):
+    """``base``, after raising where it is not positive."""
+    if _over_nodes(base):
+        return _through(_pow_base, (base,), base)
     if scalar_value(base) <= 0.0:
         raise NonSmoothPoint("non-integer power of a non-positive base")
+    return base
+
+
+def _pow_exp(base, exponent, w):
+    """exp(``w``) for ``w`` = exponent * ln(base), its overflow named as
+    one of the power."""
+    if _over_nodes(base, exponent, w):
+        f0 = _through(_pow_exp, (base, exponent, w), None)
+        return _chain(w, f0, f0) if isinstance(w, Taylor) else f0
     try:
-        return t_exp(exponent * t_ln(base))
+        return t_exp(w)
     except GeometryError:
         raise GeometryError(f"pow({scalar_value(base)!r}, "
                             f"{scalar_value(exponent)!r}) overflows") from None
@@ -286,6 +360,32 @@ def _arithmetic(op, reflected=False):
     return method
 
 
+# One node per key while the node lives: op, param and the ids of the args
+# for ``derived``, op, node id and index for the leaves that partials of
+# opaque nodes build, the float.hex of a constant with its dimensions, and
+# (m, r, index) for a coordinate.  Keys name nodes by id, not by reference,
+# so that no key keeps a node alive; a live node keeps its args, so their
+# ids stay theirs while its entry exists.  Each entry holds its node by a
+# weak reference that removes the entry when the node dies.
+_NODES = {}
+
+
+def _interned(key):
+    """The live node kept under ``key``, or None."""
+    ref = _NODES.get(key)
+    return None if ref is None else ref()
+
+
+def _intern(key, node):
+    _NODES[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
+
+def _forget(ref, nodes=_NODES):
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
+
+
 class ScalarField:
     """A scalar function of the m + r bundle coordinates: a node of an
     expression graph.
@@ -295,10 +395,10 @@ class ScalarField:
     returns a scalar of the same kind.  Every other node applies ``op`` to
     the values of its ``args``; when ``param`` is not None, ``op`` takes
     ``param`` and the coordinates first, as coordinates (whose ``param`` is
-    the index), partial derivatives, compositions and matrix inverses do.
-    ``deps`` is the set of coordinate indices the field can depend on (None
-    when unknown); partials with respect to any other coordinate are
-    exactly zero.
+    the index), partials of opaque nodes, pulled-back opaque nodes and
+    matrix inverses do.  ``deps`` is the set of coordinate indices the field
+    can depend on (None when unknown); partials with respect to any other
+    coordinate are exactly zero.
 
     ``constant`` holds the value of a constant field (None otherwise).  A
     node whose inputs are all constant is computed at construction with
@@ -310,7 +410,7 @@ class ScalarField:
     """
 
     __slots__ = ("m", "r", "param", "deps", "op", "args", "constant",
-                 "_order", "_partials")
+                 "_order", "_partials", "_layers", "__weakref__")
 
     def __init__(self, m, r, param, deps=None, op=_opaque, args=(),
                  constant=None):
@@ -319,6 +419,7 @@ class ScalarField:
         self.op, self.args, self.constant = op, args, constant
         self._order = None      # set by ``evaluate``
         self._partials = None   # index -> field, filled by ``partial``
+        self._layers = None     # index -> layer over nodes, by ``_layer``
 
     @property
     def n(self):
@@ -326,13 +427,18 @@ class ScalarField:
 
     @classmethod
     def const(cls, m, r, value):
-        return cls(m, r, None, (), None, constant=float(value))
+        value = float(value)
+        key = (m, r, value.hex())
+        return _interned(key) or _intern(
+            key, cls(m, r, None, (), None, constant=value))
 
     @classmethod
     def coordinate(cls, m, r, index):
         if not 0 <= index < m + r:
             raise DimensionMismatch(f"coordinate index {index} out of range")
-        return cls(m, r, index, (index,), _coordinate)
+        key = (m, r, index)
+        return _interned(key) or _intern(
+            key, cls(m, r, index, (index,), _coordinate))
 
     def __call__(self, coords):
         return evaluate([self], coords)[0]
@@ -355,18 +461,27 @@ class ScalarField:
 
     def partial(self, index):
         """Field of the first partial derivative along coordinate ``index``,
-        built once per index and kept on this node, so that ``evaluate``
-        computes a repeated partial once."""
+        built once per index and kept on this node.
+
+        It is the coefficient of this field in the first-order layer over
+        graph nodes seeded along ``index``, computed after the layer's value
+        of the field, so that it raises wherever the layer does.  A node the
+        layer cannot see into (an opaque leaf, a matrix inverse entry) gets a
+        node that runs a numeric layer at each point."""
         partials = self._partials = self._partials or {}
         if index not in partials:
             if not 0 <= index < self.n:
                 raise DimensionMismatch(
                     f"coordinate index {index} out of range")
-            partials[index] = (
-                ScalarField.const(self.m, self.r, 0.0)
-                if self.deps is not None and index not in self.deps else
-                ScalarField(self.m, self.r, (self, index), self.deps,
-                            _partial_at))
+            if self.deps is not None and index not in self.deps:
+                partials[index] = ScalarField.const(self.m, self.r, 0.0)
+            elif _in_layer(self) or self.op is _coordinate:
+                out = _layer(self, index)
+                partials[index] = derived(_then, (
+                    _as_field(_value(out), self),
+                    _as_field(_grad(out).get(index, 0.0), self)))
+            else:
+                partials[index] = _leaf(self, index, _partial_at)
         return partials[index]
 
 
@@ -386,13 +501,10 @@ def merge_deps(fields):
     return deps
 
 
-# ``deps`` of ``derived`` when the node depends on what its arguments do
-_MERGED = object()
-
-
-def derived(op, args, param=None, deps=_MERGED):
+def derived(op, args, param=None):
     """The node ``op`` over the fields ``args`` (at least one), folded into
     a constant when every argument is constant and the op succeeds."""
+    args = tuple(args)
     values = []
     for a in args:
         if a.constant is None:
@@ -404,41 +516,216 @@ def derived(op, args, param=None, deps=_MERGED):
         except _FOLD_ERRORS:
             pass
         else:
+            if type(value) is float:
+                return ScalarField.const(args[0].m, args[0].r, value)
             return ScalarField(args[0].m, args[0].r, None, (),
                                constant=value)
-    if deps is _MERGED:
-        deps = merge_deps(args)
-    return ScalarField(args[0].m, args[0].r, param, deps, op, tuple(args))
+    key = (op, param, *map(id, args))
+    return _interned(key) or _intern(key, ScalarField(
+        args[0].m, args[0].r, param, merge_deps(args), op, args))
 
 
-def _partial_at(spec, coords):
-    """One first-order Taylor layer with a fresh tag, seeded along ``index``."""
+def _leaf(base, index, op):
+    """The argument-free node ``op`` with the param ``(base, index)`` over
+    the coordinates and the dependence set of ``base``."""
+    key = (op, id(base), index)
+    return _interned(key) or _intern(
+        key, ScalarField(base.m, base.r, (base, index), base.deps, op))
+
+
+def _as_field(value, like):
+    """``value`` if it is a field, else a constant field over the
+    coordinates of ``like``."""
+    if isinstance(value, ScalarField):
+        return value
+    return ScalarField.const(like.m, like.r, value)
+
+
+# -- the first-order layer over graph nodes ---------------------------------
+
+# Tag of every layer over graph nodes; numeric layers count from 1.
+_NODE_TAG = 0
+
+
+def _value(v):
+    return v.value if isinstance(v, Taylor) else v
+
+
+def _grad(v):
+    return v.grad if isinstance(v, Taylor) else {}
+
+
+def _over_nodes(*values):
+    """Whether any of ``values`` belongs to a layer over graph nodes: a
+    Taylor with ``_NODE_TAG``, or a field, which stands for a value without
+    a term that the numeric layer would hold as a float."""
+    return any(isinstance(v, ScalarField) or
+               (isinstance(v, Taylor) and v.tag == _NODE_TAG) for v in values)
+
+
+def _through(op, args, carrier):
+    """In a layer over graph nodes, the node ``op`` over the values of
+    ``args`` with the coefficients of ``carrier``: what an op that checks
+    its arguments and returns ``carrier`` gives there."""
+    like = next(v for v in map(_value, args) if isinstance(v, ScalarField))
+    node = derived(op, [_as_field(_value(a), like) for a in args])
+    if isinstance(carrier, Taylor):
+        return Taylor(node, carrier.grad, _NODE_TAG)
+    return node
+
+
+def _then(*values):
+    """The last of ``values``, computed after the others."""
+    if _over_nodes(*values):
+        return _through(_then, values, values[-1])
+    return values[-1]
+
+
+def _nonzero_or_one(c):
+    """``c``, or 1.0 where it is zero."""
+    if _over_nodes(c):
+        return _through(_nonzero_or_one, (c,), c)
+    return c if scalar_value(c) != 0.0 else 1.0
+
+
+def _where_nonzero(c, a, b):
+    """``a`` where ``c`` is nonzero, else ``b``."""
+    if _over_nodes(c, a, b):
+        cv = _value(c)
+        ga, gb = _grad(a), _grad(b)
+        return Taylor(
+            derived(_where_nonzero, [cv] + [_as_field(_value(v), cv)
+                                           for v in (a, b)]),
+            {k: derived(_where_nonzero, (cv, _as_field(ga.get(k, 0.0), cv),
+                                         _as_field(gb.get(k, 0.0), cv)))
+             for k in ga.keys() | gb.keys()}, _NODE_TAG)
+    return a if scalar_value(c) != 0.0 else b
+
+
+def _raise(spec, coords):
+    cls, args = spec
+    raise cls(*args)
+
+
+# Ops that a layer over graph nodes runs on its values: each one acts on a
+# Taylor whose value and coefficients are fields by building nodes.
+_LAYER_OPS = frozenset([
+    operator.add, operator.sub, operator.mul, operator.neg, t_div, t_tan,
+    t_sin, t_cos, t_exp, t_ln, t_sqrt, _inv, t_abs, t_pow, _signed,
+    _pow_base, _pow_exp, _then, _nonzero_or_one, _where_nonzero,
+    *_KINK_CHECKS.values()])
+
+
+def _in_layer(node):
+    return node.param is None and node.op in _LAYER_OPS
+
+
+def _layer(root, index):
+    """``root`` in the first-order layer seeded along ``index`` whose
+    values and coefficients are graph nodes: a Taylor with ``_NODE_TAG``,
+    or a field where the numeric layer holds a float.  Built once per node
+    and index, each kept on its node."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        done = node._layers
+        if done is not None and index in done:
+            stack.pop()
+            continue
+        args = node.args if _in_layer(node) else ()
+        todo = [a for a in args if a.constant is None and
+                (a._layers is None or index not in a._layers)]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if done is None:
+            done = node._layers = {}
+        done[index] = _lift(node, index, [
+            a._layers[index] if a.constant is None else a.constant
+            for a in args])
+    return root._layers[index]
+
+
+def _lift(node, index, args):
+    """``node`` in the layer along ``index``, its arguments there given."""
+    if node.op is _coordinate:
+        return Taylor(node, {index: 1.0} if node.param == index else {},
+                      _NODE_TAG)
+    if not _in_layer(node) or (node.op is t_pow and
+                               isinstance(args[1], ScalarField)):
+        # the numeric layer decides an integer power by the type of its
+        # exponent, which a field hides
+        pair = _leaf(node, index, _layer_at)
+        coef = {}
+        if node.deps is None or index in node.deps:
+            coef = {index: derived(_LAYER_COEF, (pair,))}
+        return Taylor(derived(_LAYER_VALUE, (pair,)), coef, _NODE_TAG)
+    try:
+        out = node.op(*args)
+    except _FOLD_ERRORS as err:
+        # the layer raises here at every point
+        return ScalarField(node.m, node.r, (type(err), err.args), (), _raise)
+    if isinstance(out, (Taylor, ScalarField)):
+        return out
+    # a float, as x^0 gives: the layer computed the arguments all the same
+    kept = [_value(a) for a in args if isinstance(a, (Taylor, ScalarField))]
+    return derived(_then, kept + [ScalarField.const(node.m, node.r, out)])
+
+
+def _layer_at(spec, coords):
+    """(value, coefficient) of ``base`` in a numeric first-order layer with
+    a fresh tag, seeded along ``index``."""
     base, index = spec
     tag = next(_TAG)
     lifted = [Taylor(c, {}, tag) for c in coords]
     lifted[index] = Taylor(coords[index], {index: 1.0}, tag)
     out = evaluate([base], lifted)[0]
     if isinstance(out, Taylor) and out.tag == tag:
-        return out.grad.get(index, 0.0)
-    return 0.0
+        return out.value, out.grad.get(index, 0.0)
+    return out, 0.0
 
 
-def _compose_at(outer, coords, *inner):
-    return evaluate([outer], inner)[0]
+_LAYER_VALUE = operator.itemgetter(0)
+_LAYER_COEF = operator.itemgetter(1)
+
+
+def _partial_at(spec, coords):
+    return _layer_at(spec, coords)[1]
+
+
+def _pulled_back(spec, coords, *values):
+    """An opaque node of ``compose``'s outer field, run on the values of
+    the inner fields as its coordinates."""
+    op, param, n = spec
+    return op(param, values[:n], *values[n:])
 
 
 def compose(outer: ScalarField, inner: Sequence[ScalarField]) -> ScalarField:
-    """The pullback ``outer(inner_0, ..., inner_{n-1})``.
-
-    ``inner`` supplies one field per coordinate of ``outer``, all over the
-    same source coordinates.
+    """The pullback ``outer(inner_0, ..., inner_{n-1})``: the nodes of
+    ``outer`` built again over the fields ``inner``, one per coordinate of
+    ``outer``, all over the same source coordinates.
     """
     if len(inner) != outer.n:
         raise DimensionMismatch("compose needs one inner field per coordinate")
-    deps = None
-    if outer.deps is not None and all(f.deps is not None for f in inner):
-        deps = merge_deps([inner[j] for j in outer.deps])
-    return derived(_compose_at, tuple(inner), outer, deps)
+    inner = tuple(inner)
+    m, r = inner[0].m, inner[0].r
+    built = {}
+    for node in _topological(outer) + (outer,):
+        if node.constant is not None:
+            built[node] = (
+                ScalarField.const(m, r, node.constant)
+                if type(node.constant) is float else
+                ScalarField(m, r, None, (), constant=node.constant))
+        elif node.op is _coordinate:
+            built[node] = inner[node.param]
+        else:
+            args = tuple(built[a] for a in node.args)
+            built[node] = (
+                derived(node.op, args) if node.param is None else
+                derived(_pulled_back, inner + args,
+                        (node.op, node.param, len(inner))))
+    return built[outer]
 
 
 def _topological(root):

@@ -22,8 +22,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .algebroid import GeneralizedAlgebroid, _check_grid, _check_x_only, \
     _freeze, contract
-from .errors import DimensionMismatch, IndexOutOfRange, ShapeError, \
-    SingularTransition
+from .errors import DimensionMismatch, IndexOutOfRange, SingularTransition
 from .jets import Point, ScalarField, compose, evaluate_grid, leaves
 from .sampling import ValidationReport, sweep
 

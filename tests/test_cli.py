@@ -165,7 +165,7 @@ def test_load_config_validations(tmp_path):
     bad["lagrangian"] = "y1^2"
     with pytest.raises(ConfigError) as err:
         load_config(bad)
-    assert "not both" in str(err.value)
+    assert "at most one of metric, lagrangian, finsler" in str(err.value)
 
 
 def test_dump_report_serialization():
@@ -236,6 +236,8 @@ def test_deeply_nested_expression_is_config_failure(capsys, tmp_path):
     ("dims", "m", "2", "dims.m"),
     (None, "schema_version", True, "schema_version"),
     ("metric", "h_riemannian", "false", "metric.h_riemannian"),
+    (None, "lagrangian", "", "config"),
+    (None, "finsler", 0, "config"),
 ])
 def test_malformed_config_values_name_their_path(capsys, tmp_path, section,
                                                  key, value, path):
@@ -247,6 +249,48 @@ def test_malformed_config_values_name_their_path(capsys, tmp_path, section,
     code, out, err = run_cli(capsys, "metrizability", str(target))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path} must")
+
+
+@pytest.mark.parametrize("fixture, key, value", [
+    ("randers.json", "lagrangian", "y1^2 + y2^2"),
+    ("poincare.json", "lagrangian", ""),
+    ("poincare.json", "finsler", None),
+])
+def test_at_most_one_metric_entry_is_read_by_presence(capsys, tmp_path,
+                                                      fixture, key, value):
+    with open(fixture_path(fixture)) as handle:
+        config = json.load(handle)
+    config[key] = value
+    target = tmp_path / "config.json"
+    target.write_text(json.dumps(config))
+    for command in ("finsler-check", "metrizability"):
+        code, out, err = run_cli(capsys, command, str(target))
+        assert (code, out) == (2, "")
+        assert err == "error: config must give at most one of metric, " \
+            "lagrangian, finsler\n"
+
+
+def test_grid_shapes_are_checked_before_any_field_is_built(
+        capsys, tmp_path, monkeypatch):
+    from algcalc.jets import ScalarField
+    built = []
+    init = ScalarField.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScalarField, "__init__", counted)
+    with open(fixture_path("flat.json")) as handle:
+        config = json.load(handle)
+    config["dims"] = {"m": 12, "p": 12, "r": 12}
+    config["structure"] = [[["0"] * 12] * 12] * 12
+    target = tmp_path / "config.json"
+    target.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "check-structure", str(target))
+    assert (code, out) == (2, "")
+    assert err == "error: metric.h must be a list of length 12\n"
+    assert built == []
 
 
 def test_infinite_constant_structure_fails_with_valid_json(capsys, tmp_path):
