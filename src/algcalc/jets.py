@@ -129,9 +129,10 @@ def _chain(u: Taylor, f0, f1):
 def _primitive(f, df, kink=None):
     """``f`` of a float, extended to a Taylor ``u`` by ``_chain`` with
     f'(c) = ``df(c, f(c))`` at its constant term c, and to a field by a
-    node.  ``f`` raises outside its domain.  ``kink`` names a function
-    without a derivative at zero: there a ``u`` with a term in its layer
-    raises, and one without needs no f' and has the constant f(c)."""
+    node.  ``f`` raises outside its domain.  ``kink``, the op of
+    ``_kink_check``, marks a function without a derivative at zero: there
+    a ``u`` with a term in its layer raises, and one without needs no f'
+    and has the constant f(c)."""
     def primitive(u):
         if type(u) is float:
             return f(u)
@@ -141,11 +142,11 @@ def _primitive(f, df, kink=None):
             if kink is None:
                 return _chain(u, f0, df(c, f0))
             if isinstance(c, ScalarField):
-                return _kinked_chain(u, f0, primitive, df, kink)
+                return _kinked_chain(u, f0, primitive, df)
             if scalar_value(c) != 0.0:
                 return _chain(u, f0, df(c, f0))
             if u.grad:
-                raise NonSmoothPoint(f"{kink} is not differentiable at zero")
+                kink(c, u)   # raises, as c is zero
             return Taylor(f0, {}, u.tag)
         if isinstance(u, ScalarField):
             return derived(primitive, (u,))
@@ -164,19 +165,17 @@ def _kink_check(name):
     return check
 
 
-def _kinked_chain(u, f0, primitive, df, kink):
+def _kinked_chain(u, f0, primitive, df):
     """The kinked primitive of a ``u`` over graph nodes.  Which branch the
     numeric layer takes depends on the value c of ``u`` at the point, so
     both are nodes: the chained value where c is nonzero (computed at 1.0
-    where it is zero, so that it cannot raise there) or ``f0``, and each
-    coefficient checks c first."""
+    where c is zero, so that it cannot raise there), else ``f0``.  Where c
+    is zero and ``u`` has a term, the check that ``_layer`` adds raises."""
     c = u.value
     nonzero = derived(_nonzero_or_one, (c,))
     chained = _chain(u, f0, df(nonzero, primitive(nonzero)))
-    check = _KINK_CHECKS[kink]
     return Taylor(derived(_where_nonzero, (c, chained.value, f0)),
-                  {k: derived(check, (c, g)) for k, g in chained.grad.items()},
-                  u.tag)
+                  chained.grad, u.tag)
 
 
 def _exp(u):
@@ -208,9 +207,9 @@ t_sin = _primitive(math.sin, lambda c, s: t_cos(c))
 t_cos = _primitive(math.cos, lambda c, s: -t_sin(c))
 t_exp = _primitive(_exp, lambda c, e: e)
 t_ln = _primitive(_ln, lambda c, f0: _inv(c))
-t_sqrt = _primitive(_sqrt, lambda c, s: 0.5 * _inv(s), "sqrt")
+_sqrt_kink = _kink_check("sqrt")
+t_sqrt = _primitive(_sqrt, lambda c, s: 0.5 * _inv(s), _sqrt_kink)
 _inv = _primitive(_reciprocal, lambda c, i1: -(i1 * i1))
-_KINK_CHECKS = {"sqrt": _kink_check("sqrt")}
 
 
 def t_tan(u):
@@ -224,27 +223,32 @@ def t_abs(u):
             return Taylor(derived(t_abs, (c,)),
                           {k: derived(_signed, (c, _as_field(g, c)))
                            for k, g in u.grad.items()}, u.tag)
-        if scalar_value(c) == 0.0:
-            if u.grad:
-                raise NonSmoothPoint("abs is not differentiable at zero")
+        if not u.grad and scalar_value(c) == 0.0:
             return Taylor(t_abs(c), {}, u.tag)
-        return u if scalar_value(c) > 0.0 else -u
+        return _signed(c, u)
     if isinstance(u, ScalarField):
         return derived(t_abs, (u,))
     return abs(u)
 
 
 def _signed(c, g):
-    """The coefficient of abs(u) from the coefficient ``g`` of u at the
-    value ``c`` of u: ``g`` or ``-g`` by the sign of ``c``."""
+    """``g`` or ``-g`` by the sign of ``c``, the value of the argument u of
+    abs: abs(u) itself, or its coefficient from the coefficient ``g`` of u.
+    Where ``c`` is zero, abs has no derivative."""
     if _over_nodes(c, g):
-        cv = c.value
-        return Taylor(derived(_signed, (cv, _as_field(_value(g), cv))),
-                      {k: derived(_signed, (cv, _as_field(v, cv)))
-                       for k, v in _grad(g).items()}, _NODE_TAG)
-    if scalar_value(c) == 0.0:
-        raise NonSmoothPoint("abs is not differentiable at zero")
+        cv = _value(c)
+        node = derived(_signed, (cv, _as_field(_value(g), cv)))
+        if not isinstance(g, Taylor):
+            return node
+        return Taylor(node, {k: derived(_signed, (cv, _as_field(v, cv)))
+                             for k, v in g.grad.items()}, _NODE_TAG)
+    _abs_kink(c, g)
     return g if scalar_value(c) > 0.0 else -g
+
+
+_abs_kink = _kink_check("abs")
+# The check of each kinked primitive, made where its argument has a term
+_KINKS = {t_sqrt: _sqrt_kink, t_abs: _abs_kink}
 
 
 def t_div(a, b):
@@ -410,7 +414,7 @@ class ScalarField:
     """
 
     __slots__ = ("m", "r", "param", "deps", "op", "args", "constant",
-                 "_order", "_partials", "_layers", "__weakref__")
+                 "_order", "_partials", "__weakref__")
 
     def __init__(self, m, r, param, deps=None, op=_opaque, args=(),
                  constant=None):
@@ -419,7 +423,6 @@ class ScalarField:
         self.op, self.args, self.constant = op, args, constant
         self._order = None      # set by ``evaluate``
         self._partials = None   # index -> field, filled by ``partial``
-        self._layers = None     # index -> layer over nodes, by ``_layer``
 
     @property
     def n(self):
@@ -475,10 +478,12 @@ class ScalarField:
                     f"coordinate index {index} out of range")
             if self.deps is not None and index not in self.deps:
                 partials[index] = ScalarField.const(self.m, self.r, 0.0)
+            elif self.op is _raise:
+                partials[index] = self
             elif _in_layer(self) or self.op is _coordinate:
-                out = _layer(self, index)
+                out, guards = _layer(self, index)
                 partials[index] = derived(_then, (
-                    _as_field(_value(out), self),
+                    *guards, _as_field(_value(out), self),
                     _as_field(_grad(out).get(index, 0.0), self)))
             else:
                 partials[index] = _leaf(self, index, _partial_at)
@@ -516,13 +521,17 @@ def derived(op, args, param=None):
         except _FOLD_ERRORS:
             pass
         else:
-            if type(value) is float:
-                return ScalarField.const(args[0].m, args[0].r, value)
-            return ScalarField(args[0].m, args[0].r, None, (),
-                               constant=value)
+            return _constant(args[0].m, args[0].r, value)
     key = (op, param, *map(id, args))
     return _interned(key) or _intern(key, ScalarField(
         args[0].m, args[0].r, param, merge_deps(args), op, args))
+
+
+def _constant(m, r, value):
+    """The constant node of ``value``; a float one is interned."""
+    if type(value) is float:
+        return ScalarField.const(m, r, value)
+    return ScalarField(m, r, None, (), constant=value)
 
 
 def _leaf(base, index, op):
@@ -592,13 +601,16 @@ def _where_nonzero(c, a, b):
     """``a`` where ``c`` is nonzero, else ``b``."""
     if _over_nodes(c, a, b):
         cv = _value(c)
+        node = derived(_where_nonzero, [cv] + [_as_field(_value(v), cv)
+                                               for v in (a, b)])
+        if not isinstance(a, Taylor) and not isinstance(b, Taylor):
+            return node
+        # a missing term counts as 0.0; the kinked chain gives both or none
         ga, gb = _grad(a), _grad(b)
-        return Taylor(
-            derived(_where_nonzero, [cv] + [_as_field(_value(v), cv)
-                                           for v in (a, b)]),
-            {k: derived(_where_nonzero, (cv, _as_field(ga.get(k, 0.0), cv),
-                                         _as_field(gb.get(k, 0.0), cv)))
-             for k in ga.keys() | gb.keys()}, _NODE_TAG)
+        return Taylor(node, {
+            k: derived(_where_nonzero, (cv, _as_field(ga.get(k, 0.0), cv),
+                                        _as_field(gb.get(k, 0.0), cv)))
+            for k in ga.keys() | gb.keys()}, _NODE_TAG)
     return a if scalar_value(c) != 0.0 else b
 
 
@@ -613,7 +625,7 @@ _LAYER_OPS = frozenset([
     operator.add, operator.sub, operator.mul, operator.neg, t_div, t_tan,
     t_sin, t_cos, t_exp, t_ln, t_sqrt, _inv, t_abs, t_pow, _signed,
     _pow_base, _pow_exp, _then, _nonzero_or_one, _where_nonzero,
-    *_KINK_CHECKS.values()])
+    _sqrt_kink, _abs_kink])
 
 
 def _in_layer(node):
@@ -622,29 +634,36 @@ def _in_layer(node):
 
 def _layer(root, index):
     """``root`` in the first-order layer seeded along ``index`` whose
-    values and coefficients are graph nodes: a Taylor with ``_NODE_TAG``,
-    or a field where the numeric layer holds a float.  Built once per node
-    and index, each kept on its node."""
+    values and coefficients are graph nodes (a Taylor with ``_NODE_TAG``, a
+    float for a constant, or a field that raises), and the guards: nodes
+    that the numeric layer computes but whose values it drops, kept for the
+    errors they raise.  They are the check of each kinked primitive whose
+    argument has a term, and the arguments of an op with a constant value,
+    such as x^0.  Every node reached is lifted once, after its
+    arguments."""
+    lifted, guards = {}, []
     stack = [root]
     while stack:
         node = stack[-1]
-        done = node._layers
-        if done is not None and index in done:
+        if node in lifted:
             stack.pop()
             continue
         args = node.args if _in_layer(node) else ()
-        todo = [a for a in args if a.constant is None and
-                (a._layers is None or index not in a._layers)]
+        todo = [a for a in args if a.constant is None and a not in lifted]
         if todo:
             stack.extend(todo)
             continue
         stack.pop()
-        if done is None:
-            done = node._layers = {}
-        done[index] = _lift(node, index, [
-            a._layers[index] if a.constant is None else a.constant
-            for a in args])
-    return root._layers[index]
+        args = [a.constant if a.constant is not None else lifted[a]
+                for a in args]
+        out = lifted[node] = _lift(node, index, args)
+        if node.op in _KINKS and _grad(args[0]):
+            c = args[0].value
+            guards.append(derived(_KINKS[node.op], (c, c)))
+        if not isinstance(out, (Taylor, ScalarField)):
+            guards += [_value(a) for a in args
+                       if isinstance(a, (Taylor, ScalarField))]
+    return lifted[root], guards
 
 
 def _lift(node, index, args):
@@ -652,25 +671,20 @@ def _lift(node, index, args):
     if node.op is _coordinate:
         return Taylor(node, {index: 1.0} if node.param == index else {},
                       _NODE_TAG)
-    if not _in_layer(node) or (node.op is t_pow and
-                               isinstance(args[1], ScalarField)):
-        # the numeric layer decides an integer power by the type of its
-        # exponent, which a field hides
+    if node.op is _raise:
+        return node
+    if not _in_layer(node):
         pair = _leaf(node, index, _layer_at)
         coef = {}
         if node.deps is None or index in node.deps:
             coef = {index: derived(_LAYER_COEF, (pair,))}
         return Taylor(derived(_LAYER_VALUE, (pair,)), coef, _NODE_TAG)
     try:
-        out = node.op(*args)
+        return node.op(*args)
     except _FOLD_ERRORS as err:
         # the layer raises here at every point
-        return ScalarField(node.m, node.r, (type(err), err.args), (), _raise)
-    if isinstance(out, (Taylor, ScalarField)):
-        return out
-    # a float, as x^0 gives: the layer computed the arguments all the same
-    kept = [_value(a) for a in args if isinstance(a, (Taylor, ScalarField))]
-    return derived(_then, kept + [ScalarField.const(node.m, node.r, out)])
+        return ScalarField(node.m, node.r, (type(err), err.args), node.deps,
+                           _raise)
 
 
 def _layer_at(spec, coords):
@@ -713,10 +727,7 @@ def compose(outer: ScalarField, inner: Sequence[ScalarField]) -> ScalarField:
     built = {}
     for node in _topological(outer) + (outer,):
         if node.constant is not None:
-            built[node] = (
-                ScalarField.const(m, r, node.constant)
-                if type(node.constant) is float else
-                ScalarField(m, r, None, (), constant=node.constant))
+            built[node] = _constant(m, r, node.constant)
         elif node.op is _coordinate:
             built[node] = inner[node.param]
         else:
@@ -751,8 +762,8 @@ def evaluate(fields, coords):
     """Values of ``fields`` at ``coords`` (floats or Taylor objects).
 
     Every node reachable from the list is computed once, depth first and
-    left to right, in the order the fields come.  A partial derivative or a
-    composition runs a nested call on its derived coordinates.  A field
+    left to right, in the order the fields come.  A partial of an opaque
+    node runs a nested call on Taylor coordinates.  A field
     evaluated on its own keeps that order for its next call; ``pack``
     makes one field of many.
     """
