@@ -252,7 +252,8 @@ _KINKS = {t_sqrt: _sqrt_kink, t_abs: _abs_kink}
 
 
 def t_div(a, b):
-    # a Taylor ``b`` is never == 0.0: Taylor division checks it in ``_inv``
+    # a Taylor or a field ``b`` is never == 0.0: division checks it in
+    # ``_inv`` or in the node it builds
     if b == 0.0:
         raise NonSmoothPoint("division by zero")
     return a / b
@@ -605,12 +606,11 @@ def _where_nonzero(c, a, b):
                                                for v in (a, b)])
         if not isinstance(a, Taylor) and not isinstance(b, Taylor):
             return node
-        # a missing term counts as 0.0; the kinked chain gives both or none
-        ga, gb = _grad(a), _grad(b)
+        # both branches of a kinked chain have a term where c has one
         return Taylor(node, {
-            k: derived(_where_nonzero, (cv, _as_field(ga.get(k, 0.0), cv),
-                                        _as_field(gb.get(k, 0.0), cv)))
-            for k in ga.keys() | gb.keys()}, _NODE_TAG)
+            k: derived(_where_nonzero, (cv, _as_field(v, cv),
+                                        _as_field(b.grad[k], cv)))
+            for k, v in a.grad.items()}, _NODE_TAG)
     return a if scalar_value(c) != 0.0 else b
 
 
