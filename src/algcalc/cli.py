@@ -202,24 +202,39 @@ def _coeff_field(value, m, r, where):
 
 
 def _field_grid(value, shape, m, r, where):
+    """The fields of a grid whose shape ``_check_grids`` has checked."""
     if not shape:
         return _coeff_field(value, m, r, where)
-    if not isinstance(value, list) or len(value) != shape[0]:
-        raise ShapeError(f"{where} must be a list of length {shape[0]}")
     return [_field_grid(v, shape[1:], m, r, f"{where}[{i}]")
             for i, v in enumerate(value)]
 
 
-def _spec_grid(spec, key, shape, m, r, where):
-    """The field grid ``spec[key]``, named ``where.key`` in errors."""
-    return _field_grid(_expect(spec, key, _list, where), shape, m, r,
-                       f"{where}.{key}")
+# The field grids of each section that holds some, by key, with their
+# shapes written in the dims m, p and r.
+_SECTION_GRIDS = {
+    "structure.frame": (("theta", "mm"), ("theta_inv", "mm")),
+    "metric": (("h", "pp"), ("v", "rr")),
+    "frame_change": (("lam", "pp"), ("lam_inv", "pp"), ("m", "rr"),
+                     ("m_inv", "rr"), ("basemap", "m"), ("basemap_inv", "m")),
+    "torsions": (("t", "rrr"), ("s", "rrr")),
+    "deform": (("xh", "ppp"), ("yh", "rrp"), ("xv", "ppr"), ("yv", "rrr")),
+}
 
 
-def _check_grids(config, m, p, r):
+def _section_fields(spec, where, dims):
+    """The field grids of the section ``spec`` at ``where``, by key."""
+    m, r = dims["m"], dims["r"]
+    return {key: _field_grid(spec[key], tuple(dims[d] for d in shape), m, r,
+                             f"{where}.{key}")
+            for key, shape in _SECTION_GRIDS[where]}
+
+
+def _check_grids(config, dims):
     """Check the raw JSON of every field grid the config gives against its
     shape, and which metric entries it gives, before any field is built:
     building is the costly part, and grows as the cube of ``dims``."""
+    m, p, r = dims["m"], dims["p"], dims["r"]
+
     def grid(value, shape, where):
         if shape:
             if not isinstance(value, list) or len(value) != shape[0]:
@@ -228,16 +243,16 @@ def _check_grids(config, m, p, r):
             for i, v in enumerate(value):
                 grid(v, shape[1:], f"{where}[{i}]")
 
-    def entries(section, where, shapes):
-        for key, shape in shapes:
-            grid(_expect(section, key, _list, where), shape, f"{where}.{key}")
+    def section(spec, where):
+        for key, shape in _SECTION_GRIDS[where]:
+            grid(_expect(spec, key, _list, where),
+                 tuple(dims[d] for d in shape), f"{where}.{key}")
 
     structure = config.get("structure", "zero")
     if isinstance(structure, dict) and "frame" in structure:
         if m != p:
             raise ConfigError("a frame structure needs m == p")
-        entries(structure["frame"], "structure.frame",
-                (("theta", (m, m)), ("theta_inv", (m, m))))
+        section(structure["frame"], "structure.frame")
     else:
         anchor = config.get("anchor", "identity")
         if anchor == "identity":
@@ -252,25 +267,12 @@ def _check_grids(config, m, p, r):
         grid(connection["gamma"], (r, p), "connection.gamma")
     elif isinstance(connection, dict) and "ehresmann" in connection:
         grid(connection["ehresmann"], (r, m), "connection.ehresmann")
-    given = [key for key in ("metric", "lagrangian", "finsler")
-             if key in config]
-    if len(given) > 1:
+    if sum(key in config for key in ("metric", "lagrangian", "finsler")) > 1:
         raise ConfigError(
             "config must give at most one of metric, lagrangian, finsler")
-    if "metric" in config:
-        entries(config["metric"], "metric", (("h", (p, p)), ("v", (r, r))))
-    if "frame_change" in config:
-        entries(config["frame_change"], "frame_change",
-                (("lam", (p, p)), ("lam_inv", (p, p)), ("m", (r, r)),
-                 ("m_inv", (r, r)), ("basemap", (m,)),
-                 ("basemap_inv", (m,))))
-    if "torsions" in config:
-        entries(config["torsions"], "torsions",
-                (("t", (r, r, r)), ("s", (r, r, r))))
-    if "deform" in config:
-        entries(config["deform"], "deform",
-                (("xh", (p, p, p)), ("yh", (r, r, p)), ("xv", (p, p, r)),
-                 ("yv", (r, r, r))))
+    for where in ("metric", "frame_change", "torsions", "deform"):
+        if where in config:
+            section(config[where], where)
 
 
 def _identity_grid(n, m, r):
@@ -296,19 +298,17 @@ def load_config(source) -> Geometry:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
 
-    dims = _expect(config, "dims", _object, None)
-    m, p, r = (_expect(dims, key, _integer, "dims") for key in "mpr")
-    _check_grids(config, m, p, r)
+    dims_spec = _expect(config, "dims", _object, None)
+    dims = {key: _expect(dims_spec, key, _integer, "dims") for key in "mpr"}
+    m, p, r = dims["m"], dims["p"], dims["r"]
+    _check_grids(config, dims)
 
     frame = None
     structure = config.get("structure", "zero")
     if isinstance(structure, dict) and "frame" in structure:
-        spec = structure["frame"]
-        theta = _spec_grid(spec, "theta", (m, m), m, r, "structure.frame")
-        theta_inv = _spec_grid(spec, "theta_inv", (m, m), m, r,
-                               "structure.frame")
+        grids = _section_fields(structure["frame"], "structure.frame", dims)
         try:
-            frame = FrameDiffeoData(m, r, theta, theta_inv)
+            frame = FrameDiffeoData(m, r, grids["theta"], grids["theta_inv"])
             A = from_frame(frame)
         except GeometryError as err:
             raise ConfigError(f"bad frame structure: {err}") from err
@@ -352,12 +352,12 @@ def load_config(source) -> Geometry:
 
     if "metric" in config:
         metric_spec = config["metric"]
-        gh = _spec_grid(metric_spec, "h", (p, p), m, r, "metric")
-        gv = _spec_grid(metric_spec, "v", (r, r), m, r, "metric")
+        grids = _section_fields(metric_spec, "metric", dims)
         flags = {key: _boolean(metric_spec.get(key, False), f"metric.{key}")
                  for key in ("h_riemannian", "v_riemannian")}
         try:
-            geometry.metric = MetricStructure(A, gh=gh, gv=gv, **flags)
+            geometry.metric = MetricStructure(A, gh=grids["h"], gv=grids["v"],
+                                              **flags)
         except GeometryError as err:
             raise ConfigError(f"bad metric data: {err}") from err
     for key, kind in (("lagrangian", "lagrange"), ("finsler", "finsler")):
@@ -365,34 +365,23 @@ def load_config(source) -> Geometry:
             geometry.fundamental = FundamentalFunction(
                 A, _coeff_field(config[key], m, r, key), kind)
 
-    change_spec = config.get("frame_change")
-    if change_spec is not None:
-        def grid(key, shape):
-            return _spec_grid(change_spec, key, shape, m, r, "frame_change")
+    if "frame_change" in config:
+        grids = _section_fields(config["frame_change"], "frame_change", dims)
         try:
             geometry.frame_change = FrameChange(
-                m=m, r=r,
-                lam=grid("lam", (p, p)), lam_inv=grid("lam_inv", (p, p)),
-                mmat=grid("m", (r, r)), mmat_inv=grid("m_inv", (r, r)),
-                basemap=grid("basemap", (m,)),
-                basemap_inv=grid("basemap_inv", (m,)))
+                m=m, r=r, lam=grids["lam"], lam_inv=grids["lam_inv"],
+                mmat=grids["m"], mmat_inv=grids["m_inv"],
+                basemap=grids["basemap"], basemap_inv=grids["basemap_inv"])
         except GeometryError as err:
             if isinstance(err, ConfigError):
                 raise
             raise ConfigError(f"bad frame change: {err}") from err
 
-    torsion_spec = config.get("torsions")
-    if torsion_spec is not None:
+    if "torsions" in config:
         geometry.torsions = TorsionPair(
-            t=_spec_grid(torsion_spec, "t", (r, r, r), m, r, "torsions"),
-            s=_spec_grid(torsion_spec, "s", (r, r, r), m, r, "torsions"))
-
-    deform_spec = config.get("deform")
-    if deform_spec is not None:
-        geometry.deform = {
-            key: _spec_grid(deform_spec, key, shape, m, r, "deform")
-            for key, shape in (("xh", (p, p, p)), ("yh", (r, r, p)),
-                               ("xv", (p, p, r)), ("yv", (r, r, r)))}
+            **_section_fields(config["torsions"], "torsions", dims))
+    if "deform" in config:
+        geometry.deform = _section_fields(config["deform"], "deform", dims)
 
     sampling_spec = _object(config.get("sampling", {}), "sampling")
     x_box = _box(sampling_spec, "x_box", m)

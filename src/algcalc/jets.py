@@ -635,12 +635,13 @@ def _in_layer(node):
 def _layer(root, index):
     """``root`` in the first-order layer seeded along ``index`` whose
     values and coefficients are graph nodes (a Taylor with ``_NODE_TAG``, a
-    float for a constant, or a field that raises), and the guards: nodes
-    that the numeric layer computes but whose values it drops, kept for the
-    errors they raise.  They are the check of each kinked primitive whose
-    argument has a term, and the arguments of an op with a constant value,
-    such as x^0.  Every node reached is lifted once, after its
-    arguments."""
+    float where the numeric layer has a constant, or a field where it has a
+    float computed at the point, such as one that raises), and the guards:
+    nodes that the numeric layer computes but whose values it drops, kept
+    for the errors they raise.  They are the check of each kinked
+    primitive whose argument has a term, and the arguments of an op with a
+    constant value, such as x^0.  Every node reached is lifted once, after
+    its arguments."""
     lifted, guards = {}, []
     stack = [root]
     while stack:

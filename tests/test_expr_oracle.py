@@ -25,6 +25,7 @@ import random
 
 import pytest
 
+from algcalc import jets
 from algcalc.errors import GeometryError
 from algcalc.exprlang import (Bin, Call, Const, Neg, Num, Var, parse,
                               to_field, to_source)
@@ -184,6 +185,33 @@ def test_first_jet_row_equals_the_partials_bit_for_bit():
                 continue
             assert [v.hex() for v in jet.first] == partials, \
                 (to_source(tree), point)
+
+
+def test_partials_equal_the_numeric_layer_bit_for_bit():
+    # the numeric first-order layer, run at each point on a field's graph,
+    # is the reference for the layer over graph nodes, nested once for
+    # second partials; where either raises, so must the other.  Along a
+    # coordinate outside the dependence set both are an exact 0 unseen.
+    compared = 0
+    for tree in trees():
+        field = to_field(tree, M, R)
+        for i in sorted(field.deps):
+            numeric = jets._leaf(field, i, jets._partial_at)
+            pairs = [(field.partial(i), numeric)]
+            pairs += [(field.partial(i).partial(j),
+                       jets._leaf(numeric, j, jets._partial_at))
+                      for j in sorted(field.deps)]
+            for point in POINTS:
+                coords = list(point)
+                for symbolic, layer in pairs:
+                    got = outcome(lambda: symbolic(coords))
+                    want = outcome(lambda: layer(coords))
+                    assert _raised(got) == _raised(want), \
+                        (to_source(tree), point, got, want)
+                    if not _raised(want):
+                        compared += 1
+                        assert got == want, (to_source(tree), point)
+    assert compared > COUNT * len(POINTS)
 
 
 def _raised(text):

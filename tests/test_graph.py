@@ -44,7 +44,8 @@ def fixture_runs():
 def benchmark_runs(tmp_path, seed=5):
     """argv of every operation of one perfbench round at ``seed``, with its
     config written under ``tmp_path``."""
-    workloads = load(ROOT / "perfbench" / "workloads.py", "perfbench_workloads")
+    workloads = load(ROOT / "perfbench" / "workloads.py",
+                     "perfbench_workloads")
     runs = []
     for name in workloads.BUILDERS:
         workload = workloads.build(name, seed)
