@@ -387,6 +387,8 @@ def _intern(key, node):
 
 
 def _forget(ref, nodes=_NODES):
+    # the table is bound here, so that a node dying while the interpreter
+    # clears module globals at exit still finds it
     if nodes.get(ref.key) is ref:
         del nodes[ref.key]
 
@@ -509,7 +511,8 @@ def merge_deps(fields):
 
 def derived(op, args, param=None):
     """The node ``op`` over the fields ``args`` (at least one), folded into
-    a constant when every argument is constant and the op succeeds."""
+    a constant when every argument is constant and the op succeeds.  While
+    it lives, the same op, param and args give the same node."""
     args = tuple(args)
     values = []
     for a in args:
