@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -96,18 +96,18 @@ class Geometry:
     r: int
     algebroid: GeneralizedAlgebroid
     connection: NonlinearConnection
+    box: SampleBox
+    count: int
+    seed: int
+    fiber_floor: Optional[float]
+    tolerances: dict
+    probes: list
     frame: Optional[FrameDiffeoData] = None
     metric: Optional[MetricStructure] = None  # or the GL metric, once built
     fundamental: Optional[FundamentalFunction] = None
     frame_change: Optional[FrameChange] = None
     torsions: Optional[TorsionPair] = None
     deform: Optional[dict] = None
-    box: Optional[SampleBox] = None
-    count: int = 100
-    seed: int = 0
-    fiber_floor: Optional[float] = DEFAULT_FIBER_FLOOR
-    tolerances: dict = field(default_factory=dict)
-    probes: list = field(default_factory=list)
 
     def tol(self, name):
         return float(self.tolerances.get(name,
@@ -166,87 +166,92 @@ def _nonnegative(value, where):
     return value
 
 
-def _count(value, where):
-    """A sample count: a check that looked at no point would pass."""
-    if _nonnegative(value, where) == 0:
+def _positive(value, where):
+    if value <= 0:
         raise ConfigError(f"{where} must be positive")
     return value
 
 
+def _count(value, where):
+    """A sample count: a check that looked at no point would pass."""
+    return _positive(_nonnegative(value, where), where)
+
+
 def _box(spec, key, n):
-    """The ``sampling`` interval list ``spec[key]``: n [lo, hi] pairs."""
+    """The checked ``sampling`` interval list ``spec[key]``: n pairs."""
     where = f"sampling.{key}"
     box = spec.get(key, [[-1.0, 1.0] for _ in range(n)])
     if not isinstance(box, list):
         raise ConfigError(f"{where} must be a list of [lo, hi] pairs")
     if len(box) != n:
-        raise ConfigError("sampling box does not match dims")
+        raise ConfigError(f"{where} must list {n} [lo, hi] pairs")
     for i, pair in enumerate(box):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"{where}[{i}] must be a [lo, hi] pair")
-    return tuple(tuple(_number(v, f"{where}[{i}][{j}]")
-                       for j, v in enumerate(pair))
-                 for i, pair in enumerate(box))
+        lo, hi = (_number(v, f"{where}[{i}][{j}]") for j, v in enumerate(pair))
+        if lo > hi:
+            raise ConfigError(f"{where}[{i}] must have lo <= hi")
+    return box
 
 
-def _coeff_field(value, m, r, where):
-    """A config coefficient: an expression string or a bare number."""
-    if isinstance(value, str):
-        try:
-            return parse_field(value, m, r)
-        except GeometryError as err:
-            raise ConfigError(f"bad expression at {where}: {err}") from err
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return ScalarField.const(m, r, float(value))
-    raise ConfigError(f"{where} must be an expression string or a number")
-
-
-def _field_grid(value, shape, m, r, where):
-    """The fields of a grid whose shape ``_check_grids`` has checked."""
-    if not shape:
-        return _coeff_field(value, m, r, where)
-    return [_field_grid(v, shape[1:], m, r, f"{where}[{i}]")
-            for i, v in enumerate(value)]
-
-
-# The field grids of each section that holds some, by key, with their
-# shapes written in the dims m, p and r.
-_SECTION_GRIDS = {
-    "structure.frame": (("theta", "mm"), ("theta_inv", "mm")),
-    "metric": (("h", "pp"), ("v", "rr")),
-    "frame_change": (("lam", "pp"), ("lam_inv", "pp"), ("m", "rr"),
-                     ("m_inv", "rr"), ("basemap", "m"), ("basemap_inv", "m")),
-    "torsions": (("t", "rrr"), ("s", "rrr")),
-    "deform": (("xh", "ppp"), ("yh", "rrp"), ("xv", "ppr"), ("yv", "rrr")),
+# Every field grid a config may give, by path, with its shape written in
+# the dims m, p and r ("" for one coefficient), in the order the grids
+# are built.
+_GRIDS = {
+    "structure.frame.theta": "mm", "structure.frame.theta_inv": "mm",
+    "anchor": "mp", "structure": "ppp",
+    "connection.gamma": "rp", "connection.ehresmann": "rm",
+    "metric.h": "pp", "metric.v": "rr",
+    "lagrangian": "", "finsler": "",
+    "frame_change.lam": "pp", "frame_change.lam_inv": "pp",
+    "frame_change.m": "rr", "frame_change.m_inv": "rr",
+    "frame_change.basemap": "m", "frame_change.basemap_inv": "m",
+    "torsions.t": "rrr", "torsions.s": "rrr",
+    "deform.xh": "ppp", "deform.yh": "rrp", "deform.xv": "ppr",
+    "deform.yv": "rrr",
 }
 
 
-def _section_fields(spec, where, dims):
-    """The field grids of the section ``spec`` at ``where``, by key."""
-    m, r = dims["m"], dims["r"]
-    return {key: _field_grid(spec[key], tuple(dims[d] for d in shape), m, r,
-                             f"{where}.{key}")
-            for key, shape in _SECTION_GRIDS[where]}
+def _check_grid(value, shape, where):
+    """Check a raw JSON grid against ``shape``: nested lists of those
+    lengths around expression strings or numbers."""
+    if not shape:
+        if isinstance(value, bool) or \
+                not isinstance(value, (str, int, float)):
+            raise ConfigError(
+                f"{where} must be an expression string or a number")
+        if isinstance(value, int):
+            _number(value, where)   # refuses one beyond the float range
+    elif not isinstance(value, list) or len(value) != shape[0]:
+        raise ShapeError(f"{where} must be a list of length {shape[0]}")
+    else:
+        for i, v in enumerate(value):
+            _check_grid(v, shape[1:], f"{where}[{i}]")
 
 
-def _check_grids(config, dims):
-    """Check the raw JSON of every field grid the config gives against its
-    shape, and which metric entries it gives, before any field is built:
-    building is the costly part, and grows as the cube of ``dims``."""
+def _read(config):
+    """Check all of the raw JSON of ``config`` before any field is built,
+    since building grows as the cube of ``dims``.  Returns the dims, the raw
+    grid of each path of ``_GRIDS`` that the config gives, the Riemannian
+    flags of its metric, and the sampling, tolerance and probe entries of
+    a Geometry."""
+    version = _expect(config, "schema_version", _integer, None)
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {version}")
+    dims_spec = _expect(config, "dims", _object, None)
+    dims = {key: _positive(_expect(dims_spec, key, _integer, "dims"),
+                           f"dims.{key}") for key in "mpr"}
     m, p, r = dims["m"], dims["p"], dims["r"]
+    grids = {}
 
-    def grid(value, shape, where):
-        if shape:
-            if not isinstance(value, list) or len(value) != shape[0]:
-                raise ShapeError(
-                    f"{where} must be a list of length {shape[0]}")
-            for i, v in enumerate(value):
-                grid(v, shape[1:], f"{where}[{i}]")
+    def give(path, value):
+        _check_grid(value, tuple(dims[d] for d in _GRIDS[path]), path)
+        grids[path] = value
 
     def section(spec, where):
-        for key, shape in _SECTION_GRIDS[where]:
-            grid(_expect(spec, key, _list, where),
-                 tuple(dims[d] for d in shape), f"{where}.{key}")
+        for path in _GRIDS:
+            if path.startswith(f"{where}."):
+                give(path, _expect(spec, path[len(where) + 1:], _list, where))
 
     structure = config.get("structure", "zero")
     if isinstance(structure, dict) and "frame" in structure:
@@ -255,29 +260,74 @@ def _check_grids(config, dims):
         section(structure["frame"], "structure.frame")
     else:
         anchor = config.get("anchor", "identity")
-        if anchor == "identity":
-            if m != p:
-                raise ConfigError("anchor 'identity' needs m == p")
-        else:
-            grid(anchor, (m, p), "anchor")
+        if anchor != "identity":
+            give("anchor", anchor)
+        elif m != p:
+            raise ConfigError("anchor 'identity' needs m == p")
         if structure != "zero":
-            grid(structure, (p, p, p), "structure")
+            give("structure", structure)
     connection = config.get("connection", "zero")
-    if isinstance(connection, dict) and "gamma" in connection:
-        grid(connection["gamma"], (r, p), "connection.gamma")
-    elif isinstance(connection, dict) and "ehresmann" in connection:
-        grid(connection["ehresmann"], (r, m), "connection.ehresmann")
+    if connection != "zero":
+        given = [key for key in ("gamma", "ehresmann")
+                 if isinstance(connection, dict) and key in connection]
+        if not given:
+            raise ConfigError(
+                "connection must be 'zero' or give 'gamma' or 'ehresmann'")
+        give(f"connection.{given[0]}", connection[given[0]])
     if sum(key in config for key in ("metric", "lagrangian", "finsler")) > 1:
         raise ConfigError(
             "config must give at most one of metric, lagrangian, finsler")
-    for where in ("metric", "frame_change", "torsions", "deform"):
-        if where in config:
+    for where in ("metric", "lagrangian", "finsler", "frame_change",
+                  "torsions", "deform"):
+        if where in _GRIDS and where in config:
+            give(where, config[where])
+        elif where in config:
             section(config[where], where)
+    flags = {key: _boolean(config["metric"].get(key, False), f"metric.{key}")
+             for key in ("h_riemannian", "v_riemannian")
+             if "metric" in config}
+
+    sampling = _object(config.get("sampling", {}), "sampling")
+    box = SampleBox(x=_box(sampling, "x_box", m), y=_box(sampling, "y_box", r))
+    count = _count(_integer(sampling.get("count", 100), "sampling.count"),
+                   "sampling.count")
+    seed = _integer(sampling.get("seed", 0), "sampling.seed")
+    floor = sampling.get("fiber_floor", DEFAULT_FIBER_FLOOR)
+    if floor is not None:
+        floor = _number(floor, "sampling.fiber_floor")
+    tolerances = _object(config.get("tolerances", {}), "tolerances")
+    for name, tol in tolerances.items():
+        _nonnegative(_number(tol, f"tolerances.{name}"), f"tolerances.{name}")
+    probes = []
+    for i, probe in enumerate(_list(config.get("probes", []), "probes")):
+        if not isinstance(probe, list) or len(probe) != m + r:
+            raise ConfigError(f"probes[{i}] must list {m + r} coordinates")
+        coords = [_number(v, f"probes[{i}][{k}]")
+                  for k, v in enumerate(probe)]
+        probes.append(Point(tuple(coords[:m]), tuple(coords[m:])))
+    return dims, grids, flags, dict(
+        box=box, count=count, seed=seed, fiber_floor=floor,
+        tolerances=tolerances, probes=probes)
 
 
-def _identity_grid(n, m, r):
-    return [[ScalarField.const(m, r, 1.0 if i == j else 0.0)
-             for j in range(n)] for i in range(n)]
+def _fields(value, m, r, where):
+    """The fields of a raw grid that ``_read`` has checked."""
+    if isinstance(value, list):
+        return [_fields(v, m, r, f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(value, str):
+        try:
+            return parse_field(value, m, r)
+        except GeometryError as err:
+            raise ConfigError(f"bad expression at {where}: {err}") from err
+    return ScalarField.const(m, r, float(value))
+
+
+def _section(fields, where):
+    """The fields of the section at ``where`` by key; empty when the config
+    gives none."""
+    start = f"{where}."
+    return {path[len(start):]: grid for path, grid in fields.items()
+            if path.startswith(start)}
 
 
 def load_config(source) -> Geometry:
@@ -294,122 +344,61 @@ def load_config(source) -> Geometry:
             raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    version = _expect(config, "schema_version", _integer, None)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version}")
-
-    dims_spec = _expect(config, "dims", _object, None)
-    dims = {key: _expect(dims_spec, key, _integer, "dims") for key in "mpr"}
+    dims, grids, flags, settings = _read(config)
     m, p, r = dims["m"], dims["p"], dims["r"]
-    _check_grids(config, dims)
+    fields = {path: _fields(value, m, r, path)
+              for path, value in grids.items()}
 
     frame = None
-    structure = config.get("structure", "zero")
-    if isinstance(structure, dict) and "frame" in structure:
-        grids = _section_fields(structure["frame"], "structure.frame", dims)
+    theta = _section(fields, "structure.frame")
+    if theta:
         try:
-            frame = FrameDiffeoData(m, r, grids["theta"], grids["theta_inv"])
+            frame = FrameDiffeoData(m, r, **theta)
             A = from_frame(frame)
         except GeometryError as err:
             raise ConfigError(f"bad frame structure: {err}") from err
     else:
-        anchor = config.get("anchor", "identity")
-        if anchor == "identity":
-            rho = _identity_grid(m, m, r)
-        else:
-            rho = _field_grid(anchor, (m, p), m, r, "anchor")
-        if structure == "zero":
-            zero = ScalarField.const(m, r, 0.0)
-            L = [[[zero] * p for _ in range(p)] for _ in range(p)]
-        else:
-            L = _field_grid(structure, (p, p, p), m, r, "structure")
+        zero = ScalarField.const(m, r, 0.0)
+        one = ScalarField.const(m, r, 1.0)
+        rho = fields["anchor"] if "anchor" in fields else \
+            [[one if i == j else zero for j in range(m)] for i in range(m)]
+        L = fields["structure"] if "structure" in fields else \
+            [[[zero] * p for _ in range(p)] for _ in range(p)]
         try:
             A = GeneralizedAlgebroid(m=m, p=p, r=r, rho=rho, L=L)
         except GeometryError as err:
             raise ConfigError(f"bad structure data: {err}") from err
 
-    conn_spec = config.get("connection", "zero")
-    try:
-        if conn_spec == "zero":
-            C = zero_connection(A)
-        elif isinstance(conn_spec, dict) and "gamma" in conn_spec:
-            C = NonlinearConnection(
-                A, _field_grid(conn_spec["gamma"], (r, p), m, r,
-                               "connection.gamma"))
-        elif isinstance(conn_spec, dict) and "ehresmann" in conn_spec:
-            C = from_ehresmann(
-                A, _field_grid(conn_spec["ehresmann"], (r, m), m, r,
-                               "connection.ehresmann"))
-        else:
-            raise ConfigError(
-                "connection must be 'zero' or give 'gamma' or 'ehresmann'")
-    except GeometryError as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"bad connection data: {err}") from err
+    if "connection.gamma" in fields:
+        C = NonlinearConnection(A, fields["connection.gamma"])
+    elif "connection.ehresmann" in fields:
+        C = from_ehresmann(A, fields["connection.ehresmann"])
+    else:
+        C = zero_connection(A)
 
-    geometry = Geometry(m=m, p=p, r=r, algebroid=A, connection=C, frame=frame)
-
-    if "metric" in config:
-        metric_spec = config["metric"]
-        grids = _section_fields(metric_spec, "metric", dims)
-        flags = {key: _boolean(metric_spec.get(key, False), f"metric.{key}")
-                 for key in ("h_riemannian", "v_riemannian")}
+    geometry = Geometry(m=m, p=p, r=r, algebroid=A, connection=C,
+                        frame=frame, **settings)
+    metric = _section(fields, "metric")
+    if metric:
         try:
-            geometry.metric = MetricStructure(A, gh=grids["h"], gv=grids["v"],
-                                              **flags)
+            geometry.metric = MetricStructure(A, gh=metric["h"],
+                                              gv=metric["v"], **flags)
         except GeometryError as err:
             raise ConfigError(f"bad metric data: {err}") from err
     for key, kind in (("lagrangian", "lagrange"), ("finsler", "finsler")):
-        if key in config:
-            geometry.fundamental = FundamentalFunction(
-                A, _coeff_field(config[key], m, r, key), kind)
-
-    if "frame_change" in config:
-        grids = _section_fields(config["frame_change"], "frame_change", dims)
-        try:
-            geometry.frame_change = FrameChange(
-                m=m, r=r, lam=grids["lam"], lam_inv=grids["lam_inv"],
-                mmat=grids["m"], mmat_inv=grids["m_inv"],
-                basemap=grids["basemap"], basemap_inv=grids["basemap_inv"])
-        except GeometryError as err:
-            if isinstance(err, ConfigError):
-                raise
-            raise ConfigError(f"bad frame change: {err}") from err
-
-    if "torsions" in config:
-        geometry.torsions = TorsionPair(
-            **_section_fields(config["torsions"], "torsions", dims))
-    if "deform" in config:
-        geometry.deform = _section_fields(config["deform"], "deform", dims)
-
-    sampling_spec = _object(config.get("sampling", {}), "sampling")
-    x_box = _box(sampling_spec, "x_box", m)
-    y_box = _box(sampling_spec, "y_box", r)
-    try:
-        geometry.box = SampleBox(x=x_box, y=y_box)
-    except GeometryError as err:
-        raise ConfigError(f"bad sampling box: {err}") from err
-    geometry.count = _count(_integer(
-        sampling_spec.get("count", 100), "sampling.count"), "sampling.count")
-    geometry.seed = _integer(sampling_spec.get("seed", 0), "sampling.seed")
-    floor = sampling_spec.get("fiber_floor", DEFAULT_FIBER_FLOOR)
-    geometry.fiber_floor = None if floor is None else \
-        _number(floor, "sampling.fiber_floor")
-
-    tolerances = _object(config.get("tolerances", {}), "tolerances")
-    for name, tol in tolerances.items():
-        _nonnegative(_number(tol, f"tolerances.{name}"), f"tolerances.{name}")
-    geometry.tolerances = tolerances
-
-    probes = _list(config.get("probes", []), "probes")
-    for i, probe in enumerate(probes):
-        if not isinstance(probe, list) or len(probe) != m + r:
-            raise ConfigError(f"probes[{i}] must list {m + r} coordinates")
-        coords = [_number(v, f"probes[{i}][{k}]")
-                  for k, v in enumerate(probe)]
-        geometry.probes.append(Point(tuple(coords[:m]), tuple(coords[m:])))
-
+        if key in fields:
+            geometry.fundamental = FundamentalFunction(A, fields[key], kind)
+    change = _section(fields, "frame_change")
+    if change:
+        # a field that is not x-only raises a ShapeError, a ConfigError
+        geometry.frame_change = FrameChange(
+            m=m, r=r, lam=change["lam"], lam_inv=change["lam_inv"],
+            mmat=change["m"], mmat_inv=change["m_inv"],
+            basemap=change["basemap"], basemap_inv=change["basemap_inv"])
+    torsions = _section(fields, "torsions")
+    if torsions:
+        geometry.torsions = TorsionPair(**torsions)
+    geometry.deform = _section(fields, "deform") or None
     return geometry
 
 

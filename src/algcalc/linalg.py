@@ -9,7 +9,6 @@ part of each entry.
 from __future__ import annotations
 
 import math
-import operator
 
 from .jets import derived, scalar_value
 
@@ -178,22 +177,34 @@ def field_matrix_inverse(mat, exc=None):
 
     Every entry reads one inverse node, so an ``evaluate`` call inverts the
     matrix once at its point; with Taylor coordinates the inverse carries
-    derivative information.  ``exc``, if given, replaces
-    SingularMatrixError at evaluation time; either way the message names the
-    point.
+    derivative information.  The inverse node and its entries are interned,
+    so inverting one matrix twice gives the same nodes.  ``exc``, if given,
+    replaces SingularMatrixError at evaluation time; either way the message
+    names the point.
     """
     n = len(mat)
     if n == 0:
         return []
-    inverse = matrix_field(
-        lambda rows: [v for row in invert(rows) for v in row], [mat], exc)
-    return [[derived(operator.itemgetter(i * n + j), (inverse,))
-             for j in range(n)] for i in range(n)]
+    inverse = matrix_field(_inverse_entries, [mat], exc)
+    return [[derived(_entry, (inverse,), i * n + j) for j in range(n)]
+            for i in range(n)]
+
+
+def _inverse_entries(rows):
+    return [v for row in invert(rows) for v in row]
+
+
+def _entry(index, coords, values):
+    return values[index]
 
 
 def residual_identity_field(a, b):
     """The field ``residual_identity`` of two square matrices of fields."""
-    return matrix_field(lambda x, y: residual_identity(x, y), [a, b])
+    return matrix_field(_residual_identity, [a, b])
+
+
+def _residual_identity(a, b):
+    return residual_identity(a, b)
 
 
 def signature(rows, tol=RANK_TOL):

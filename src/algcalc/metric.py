@@ -24,7 +24,7 @@ from .nlconn import NonlinearConnection, delta_action
 from .sampling import ValidationReport, sweep
 
 
-def _symmetrize(name, block):
+def _symmetrize(block):
     """Reuse the upper-triangle field object for the mirror entry, making
     the stored block exactly symmetric."""
     n = len(block)
@@ -33,6 +33,12 @@ def _symmetrize(name, block):
         for j in range(i, n):
             out[i][j] = out[j][i] = block[i][j]
     return tuple(tuple(row) for row in out)
+
+
+def _inverse(block):
+    """The pointwise inverse of a symmetric block, made symmetric the same
+    way; an inverse built again is the same nodes."""
+    return _symmetrize(linalg.field_matrix_inverse(block, exc=SingularMetric))
 
 
 @dataclass(frozen=True)
@@ -55,15 +61,13 @@ class MetricStructure:
         A = self.algebroid
         _check_grid("gh", self.gh, (A.p, A.p))
         _check_grid("gv", self.gv, (A.r, A.r))
-        object.__setattr__(self, "gh", _symmetrize("gh", self.gh))
-        object.__setattr__(self, "gv", _symmetrize("gv", self.gv))
+        object.__setattr__(self, "gh", _symmetrize(self.gh))
+        object.__setattr__(self, "gv", _symmetrize(self.gv))
         for flag, name, block in ((self.h_riemannian, "gh", self.gh),
                                   (self.v_riemannian, "gv", self.gv)):
             if flag:
                 _check_x_only(f"{name} flagged Riemannian", leaves(block),
                               A.m)
-        object.__setattr__(self, "_gh_inv", None)
-        object.__setattr__(self, "_gv_inv", None)
 
     @property
     def m(self):
@@ -77,17 +81,11 @@ class MetricStructure:
     def r(self):
         return self.algebroid.r
 
-    def _inverse(self, cached, block):
-        if getattr(self, cached) is None:
-            inv = linalg.field_matrix_inverse(block, exc=SingularMetric)
-            object.__setattr__(self, cached, _symmetrize(cached, inv))
-        return getattr(self, cached)
-
     def gh_inv(self):
-        return self._inverse("_gh_inv", self.gh)
+        return _inverse(self.gh)
 
     def gv_inv(self):
-        return self._inverse("_gv_inv", self.gv)
+        return _inverse(self.gv)
 
     def inverse_at(self, point: Point):
         """Numeric inverses of both blocks at a point, with the residual

@@ -238,6 +238,11 @@ def test_deeply_nested_expression_is_config_failure(capsys, tmp_path):
     ("metric", "h_riemannian", "false", "metric.h_riemannian"),
     (None, "lagrangian", "", "config"),
     (None, "finsler", 0, "config"),
+    ("dims", "m", -2, "dims.m"),
+    ("dims", "r", 0, "dims.r"),
+    ("sampling", "x_box", [[0, 1]] * 3, "sampling.x_box"),
+    ("sampling", "y_box", [[-1, 1], [1, 0]], "sampling.y_box[1]"),
+    ("metric", "h", [["1", 10 ** 400], ["0", "1"]], "metric.h[0][1]"),
 ])
 def test_malformed_config_values_name_their_path(capsys, tmp_path, section,
                                                  key, value, path):
@@ -270,8 +275,19 @@ def test_at_most_one_metric_entry_is_read_by_presence(capsys, tmp_path,
             "lagrangian, finsler\n"
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("metric", "h", [["1", "0"], ["0", "1"]],
+     "metric.h must be a list of length 12"),
+    (None, "connection", 5,
+     "connection must be 'zero' or give 'gamma' or 'ehresmann'"),
+    ("sampling", "count", -1, "sampling.count must not be negative"),
+    ("tolerances", "default", -1, "tolerances.default must not be negative"),
+    (None, "probes", "x", "probes must be a list"),
+    ("metric", "h_riemannian", "x", "metric.h_riemannian must be a boolean"),
+], ids=["metric.h", "connection", "sampling.count", "tolerances.default",
+        "probes", "metric.h_riemannian"])
 def test_grid_shapes_are_checked_before_any_field_is_built(
-        capsys, tmp_path, monkeypatch):
+        capsys, tmp_path, monkeypatch, section, key, value, message):
     from algcalc.jets import ScalarField
     built = []
     init = ScalarField.__init__
@@ -283,13 +299,19 @@ def test_grid_shapes_are_checked_before_any_field_is_built(
     monkeypatch.setattr(ScalarField, "__init__", counted)
     with open(fixture_path("flat.json")) as handle:
         config = json.load(handle)
-    config["dims"] = {"m": 12, "p": 12, "r": 12}
-    config["structure"] = [[["0"] * 12] * 12] * 12
+    n = 12
+    eye = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    config["dims"] = {"m": n, "p": n, "r": n}
+    config["structure"] = [[[f"x1*{g} + x2*{a} - x3*{b}" for b in range(n)]
+                            for a in range(n)] for g in range(n)]
+    config["metric"].update(h=eye, v=eye)
+    config["sampling"] = {"count": 25, "seed": 11}
+    (config.setdefault(section, {}) if section else config)[key] = value
     target = tmp_path / "config.json"
     target.write_text(json.dumps(config))
     code, out, err = run_cli(capsys, "check-structure", str(target))
     assert (code, out) == (2, "")
-    assert err == "error: metric.h must be a list of length 12\n"
+    assert err == f"error: {message}\n"
     assert built == []
 
 

@@ -9,7 +9,7 @@ import json
 import pathlib
 import sys
 
-from algcalc import cli, jets, sampling
+from algcalc import cli, jets, linalg, sampling
 from algcalc.exprlang import parse_field
 from algcalc.jets import ScalarField
 
@@ -97,6 +97,22 @@ def test_commands_sweep_no_numeric_layer(monkeypatch, tmp_path):
         assert numeric == [], argv
         swept += len(nodes)
     assert len(runs) > 77 and swept > 10 ** 4
+
+
+def test_commands_invert_each_matrix_once_per_point(monkeypatch, tmp_path):
+    # a node function is keyed by its code, so that two equal lambdas made
+    # by two calls count as one function
+    nodes = swept_nodes(monkeypatch)
+    matrices = 0
+    for argv in fixture_runs() + benchmark_runs(tmp_path):
+        nodes.clear()
+        assert run(argv) in (0, 1, 2)
+        keys = [(spec[0].__code__, *spec[1:], *map(id, node.args))
+                for node in nodes if node.op is linalg._matrices_at
+                for spec in [node.param]]
+        assert len(keys) == len(set(keys)), argv
+        matrices += len(keys)
+    assert matrices > 50
 
 
 def interned():
