@@ -17,10 +17,11 @@ Hessian entry) is a graph that is differentiable again.  Each primitive
 once, by its value, its derivative and its domain, and both kinds of layer
 read that one derivative.
 
-Numeric layers remain where no graph can be seen into: ``eval_jet`` nests
-one per order, and the partial of an opaque leaf or of a matrix inverse
-runs one at each point.  Each numeric layer carries a tag so that operands
-from different layers never merge coefficients.
+A numeric layer remains only where no graph can be seen into: the layer
+over nodes meets an opaque leaf or a matrix inverse entry as a node that
+runs a numeric first-order layer on it at each point.  Each numeric layer
+carries a tag so that operands from different layers never merge
+coefficients.  ``eval_jet`` reads its tables from partial chains.
 """
 
 from __future__ import annotations
@@ -330,9 +331,10 @@ class Point:
 class Jet:
     """Partial derivatives of a scalar field at a point, up to ``order``.
 
-    ``second`` and ``third`` are fully symmetric nested tuples; symmetric
-    entries are read from the same nested Taylor coefficient, so symmetry
-    is exact, not approximate.
+    ``value`` is the value of the field.  ``second`` and ``third`` are fully
+    symmetric nested tuples; symmetric entries are read from the same
+    partial chain, over the sorted index tuple, so symmetry is exact, not
+    approximate.
     """
 
     order: int
@@ -472,8 +474,8 @@ class ScalarField:
         It is the coefficient of this field in the first-order layer over
         graph nodes seeded along ``index``, computed after the layer's value
         of the field, so that it raises wherever the layer does.  A node the
-        layer cannot see into (an opaque leaf, a matrix inverse entry) gets a
-        node that runs a numeric layer at each point."""
+        layer cannot see into (an opaque leaf, a matrix inverse entry) enters
+        it as a node that runs a numeric layer at each point."""
         partials = self._partials = self._partials or {}
         if index not in partials:
             if not 0 <= index < self.n:
@@ -483,13 +485,11 @@ class ScalarField:
                 partials[index] = ScalarField.const(self.m, self.r, 0.0)
             elif self.op is _raise:
                 partials[index] = self
-            elif _in_layer(self) or self.op is _coordinate:
+            else:
                 out, guards = _layer(self, index)
                 partials[index] = derived(_then, (
                     *guards, _as_field(_value(out), self),
                     _as_field(_grad(out).get(index, 0.0), self)))
-            else:
-                partials[index] = _leaf(self, index, _partial_at)
         return partials[index]
 
 
@@ -708,10 +708,6 @@ _LAYER_VALUE = operator.itemgetter(0)
 _LAYER_COEF = operator.itemgetter(1)
 
 
-def _partial_at(spec, coords):
-    return _layer_at(spec, coords)[1]
-
-
 def _pulled_back(spec, coords, *values):
     """An opaque node of ``compose``'s outer field, run on the values of
     the inner fields as its coordinates."""
@@ -822,10 +818,10 @@ def evaluate_grid(grid, coords):
 def eval_jet(field: ScalarField, point: Point, order: int) -> Jet:
     """Jet of ``field`` at ``point`` up to ``order`` (0..3).
 
-    ``field`` is evaluated once on ``order`` nested layers, each seeded
-    along every coordinate.  The derivative along a sorted index tuple
-    ``(i, j, ...)`` reads ``grad[i]`` of the innermost layer not read for its
-    value, then ``grad[j]`` of the next one out, and so on.
+    The entry of a sorted index tuple ``(i, j, ...)`` is the partial chain
+    ``field.partial(i).partial(j)...``; each chain is built once, from the
+    chain of its prefix, and the field and all chains are evaluated in one
+    ``evaluate`` call, so the jet raises where any of them raises.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
@@ -834,35 +830,22 @@ def eval_jet(field: ScalarField, point: Point, order: int) -> Jet:
     if len(coords) != n:
         raise DimensionMismatch(
             f"point has {len(coords)} coordinates, field expects {n}")
-    tags = []
-    for _ in range(order):
-        tags.append(next(_TAG))
-        coords = [Taylor(c, {i: 1.0}, tags[-1]) for i, c in enumerate(coords)]
-    out = evaluate([field], coords)[0]
-
-    def deriv(indices):
-        v = out
-        steps = (None,) * (order - len(indices)) + indices
-        for tag, i in zip(reversed(tags), steps):
-            if isinstance(v, Taylor) and v.tag == tag:
-                v = v.value if i is None else v.grad.get(i, 0.0)
-            elif i is not None:
-                return 0.0
-        return float(v)
+    chains = {(): field}
+    for k in range(1, order + 1):
+        for idx in itertools.combinations_with_replacement(range(n), k):
+            chains[idx] = chains[idx[:-1]].partial(idx[-1])
+    values = dict(zip(chains, evaluate(list(chains.values()), coords)))
 
     def table(k):
         # every entry reads its sorted index tuple, so symmetry is exact
-        values = {idx: deriv(idx) for idx in
-                  itertools.combinations_with_replacement(range(n), k)}
-
         def build(prefix):
             if len(prefix) == k:
-                return values[tuple(sorted(prefix))]
+                return float(values[tuple(sorted(prefix))])
             return tuple(build(prefix + (i,)) for i in range(n))
 
         return build(())
 
-    return Jet(order, deriv(()),
+    return Jet(order, float(values[()]),
                *(table(k) if k <= order else None for k in (1, 2, 3)))
 
 

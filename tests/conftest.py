@@ -7,6 +7,7 @@ import pytest
 from algcalc.algebroid import (FrameDiffeoData, GeneralizedAlgebroid,
                                from_frame)
 from algcalc.exprlang import parse_field
+from algcalc import jets
 from algcalc.jets import ScalarField
 from algcalc.metric import MetricStructure
 from algcalc.nlconn import NonlinearConnection, zero_connection
@@ -21,6 +22,14 @@ def fixture_path(name):
 
 def const(m, r, v):
     return ScalarField.const(m, r, v)
+
+
+def layer_partial(field, index):
+    """The node that runs a numeric first-order layer over the graph of
+    ``field`` at each point, seeded along ``index``, and gives its
+    coefficient: the reference that ``field.partial(index)`` must equal."""
+    pair = jets._leaf(field, index, jets._layer_at)
+    return jets.derived(jets._LAYER_COEF, (pair,))
 
 
 def field_grid(strings, m, r):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -243,6 +244,7 @@ def test_deeply_nested_expression_is_config_failure(capsys, tmp_path):
     ("sampling", "x_box", [[0, 1]] * 3, "sampling.x_box"),
     ("sampling", "y_box", [[-1, 1], [1, 0]], "sampling.y_box[1]"),
     ("metric", "h", [["1", 10 ** 400], ["0", "1"]], "metric.h[0][1]"),
+    (None, "probes", [[0, 0, 0]], "probes[0]"),
 ])
 def test_malformed_config_values_name_their_path(capsys, tmp_path, section,
                                                  key, value, path):
@@ -284,8 +286,9 @@ def test_at_most_one_metric_entry_is_read_by_presence(capsys, tmp_path,
     ("tolerances", "default", -1, "tolerances.default must not be negative"),
     (None, "probes", "x", "probes must be a list"),
     ("metric", "h_riemannian", "x", "metric.h_riemannian must be a boolean"),
+    ("dims", "p", 11, "anchor 'identity' needs m == p"),
 ], ids=["metric.h", "connection", "sampling.count", "tolerances.default",
-        "probes", "metric.h_riemannian"])
+        "probes", "metric.h_riemannian", "anchor"])
 def test_grid_shapes_are_checked_before_any_field_is_built(
         capsys, tmp_path, monkeypatch, section, key, value, message):
     from algcalc.jets import ScalarField
@@ -313,6 +316,83 @@ def test_grid_shapes_are_checked_before_any_field_is_built(
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
     assert built == []
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize("fixture, path, value, message", [
+    ("flat.json", ("dims",), DELETE, "missing 'dims' in config"),
+    ("flat.json", ("dims", "m"), DELETE, "missing 'm' in dims"),
+    ("frame_exp.json", ("dims", "p"), 3, "a frame structure needs m == p"),
+    ("frame_exp.json", ("structure", "frame", "theta", 1, 1), "exp(x1*y1)",
+     "bad frame structure: theta must depend on base coordinates only"),
+    ("flat.json", ("structure",),
+     [[["0", "y1"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
+     "bad structure data: L must depend on base coordinates only"),
+    ("flat.json", ("metric", "h", 0, 0), "1 + y1^2",
+     "bad metric data: gh flagged Riemannian must depend on base "
+     "coordinates only"),
+], ids=["dims", "dims.m", "frame", "theta", "structure", "metric"])
+def test_config_faults_exit_2_with_their_message(capsys, tmp_path, fixture,
+                                                 path, value, message):
+    with open(fixture_path(fixture)) as handle:
+        config = json.load(handle)
+    *keys, last = path
+    section = config
+    for key in keys:
+        section = section[key]
+    if value is DELETE:
+        del section[last]
+    else:
+        section[last] = value
+    target = tmp_path / "config.json"
+    target.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "metrizability", str(target))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "config is not valid JSON: Expecting property name"),
+    ("[1]", "config must be a JSON object"),
+])
+def test_config_text_that_is_no_json_object_exits_2(capsys, tmp_path, text,
+                                                    message):
+    target = tmp_path / "config.json"
+    target.write_text(text)
+    code, out, err = run_cli(capsys, "metrizability", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_ehresmann_coefficients_under_the_identity_anchor_are_gamma(
+        capsys, tmp_path):
+    with open(fixture_path("transform.json")) as handle:
+        config = json.load(handle)
+    config["connection"] = {"ehresmann": config["connection"]["gamma"]}
+    target = tmp_path / "config.json"
+    target.write_text(json.dumps(config))
+    for command in (["transform-check"], ["metrizability"],
+                    ["connection", "canonical"]):
+        given = run_cli(capsys, *command, fixture_path("transform.json"))
+        assert given[0] == 0
+        assert run_cli(capsys, *command, str(target)) == given, command
+
+
+def test_ehresmann_coefficients_pull_back_through_the_anchor():
+    geometry = load_config({
+        "schema_version": 1, "dims": {"m": 2, "p": 3, "r": 2},
+        "anchor": [["1 + x2", "x1", "0.5"], ["0", "2", "x1*x2"]],
+        "connection": {"ehresmann": [["x1*y1", "x2 + y2^2"],
+                                     ["sin(x1)", "y1*y2"]]}})
+    x1, x2, y1, y2 = coords = [0.3, -0.7, 1.1, 0.4]
+    rho = [[1 + x2, x1, 0.5], [0.0, 2.0, x1 * x2]]
+    c = [[x1 * y1, x2 + y2 ** 2], [math.sin(x1), y1 * y2]]
+    for a in range(2):
+        for alpha in range(3):
+            want = sum(rho[k][alpha] * c[a][k] for k in range(2))
+            got = geometry.connection.gamma[a][alpha](coords)
+            assert got == pytest.approx(want, rel=1e-15), (a, alpha)
 
 
 def test_infinite_constant_structure_fails_with_valid_json(capsys, tmp_path):

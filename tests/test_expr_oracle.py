@@ -6,10 +6,11 @@ A fixed-seed generator builds expressions over (x1, x2, y1): trees at most
 exponents, and literals that fold to ``-0.0``.  Each expression must
 print and reparse to the same tree.  At the fixed ``POINTS``, its value
 and its three first partials hash to ``DIGEST``: the ``float.hex`` of each
-number, or the class name of the exception its evaluation raises.  The
-first row of its order-1 jet must equal those partials bit for bit, and
-each partial must match a central finite difference wherever the steps
-1e-4 and 1e-5 agree with each other.
+number, or the class name of the exception its evaluation raises.  Its
+jets of orders 1-3 must hold its value and its partial chains bit for bit,
+its first and second partials must equal the numeric layer's bit for bit,
+and each partial must match a central finite difference wherever the
+steps 1e-4 and 1e-5 agree with each other.
 
 When a change means to move the hashed values, print the records and the
 new digest with
@@ -19,17 +20,21 @@ new digest with
 and name each expression whose record changed in CHANGES.md.
 """
 
+import functools
 import hashlib
+import itertools
 import math
+import operator
 import random
 
 import pytest
 
-from algcalc import jets
 from algcalc.errors import GeometryError
 from algcalc.exprlang import (Bin, Call, Const, Neg, Num, Var, parse,
                               to_field, to_source)
 from algcalc.jets import Point, eval_jet, fd_partial
+
+from conftest import layer_partial
 
 M, R = 2, 1
 SEED = 20111
@@ -167,24 +172,38 @@ def test_values_and_partials_match_the_recorded_digest():
     assert digest(records()) == DIGEST
 
 
-def test_first_jet_row_equals_the_partials_bit_for_bit():
+def test_jet_entries_are_the_partial_chains_bit_for_bit():
+    # a jet holds the field's value and, for each sorted index tuple
+    # (i, j, ...), the chain field.partial(i).partial(j)...; every
+    # permutation of the tuple reads the same entry, and the jet raises
+    # where the value or one of those chains raises
     for tree in trees():
         field = to_field(tree, M, R)
+        chains = {(): field}
+        for k in range(1, 4):
+            for idx in itertools.combinations_with_replacement(range(M + R),
+                                                               k):
+                chains[idx] = chains[idx[:-1]].partial(idx[-1])
         for point in POINTS:
             coords = list(point)
-            partials = [outcome(lambda i=i: field.partial(i)(coords))
-                        for i in range(M + R)]
-            try:
-                jet = eval_jet(field, Point(point[:M], point[M:]), 1)
-            except ERRORS:
-                # the jet varies every coordinate at once, so it raises
-                # where the value or some partial does
-                value = outcome(lambda: field(coords))
-                assert any(_raised(v) for v in [value, *partials]), \
-                    (to_source(tree), point)
-                continue
-            assert [v.hex() for v in jet.first] == partials, \
-                (to_source(tree), point)
+            want = {idx: outcome(lambda g=g: g(coords))
+                    for idx, g in chains.items()}
+            for order in (1, 2, 3):
+                raised = any(_raised(want[idx]) for idx in want
+                             if len(idx) <= order)
+                try:
+                    jet = eval_jet(field, Point(point[:M], point[M:]), order)
+                except ERRORS:
+                    assert raised, (to_source(tree), point, order)
+                    continue
+                assert not raised, (to_source(tree), point, order)
+                assert jet.value.hex() == want[()]
+                tables = (jet.first, jet.second, jet.third)[:order]
+                for k, table in enumerate(tables, 1):
+                    for idx in itertools.product(range(M + R), repeat=k):
+                        entry = functools.reduce(operator.getitem, idx, table)
+                        assert entry.hex() == want[tuple(sorted(idx))], \
+                            (to_source(tree), point, idx)
 
 
 def test_partials_equal_the_numeric_layer_bit_for_bit():
@@ -196,10 +215,10 @@ def test_partials_equal_the_numeric_layer_bit_for_bit():
     for tree in trees():
         field = to_field(tree, M, R)
         for i in sorted(field.deps):
-            numeric = jets._leaf(field, i, jets._partial_at)
+            numeric = layer_partial(field, i)
             pairs = [(field.partial(i), numeric)]
             pairs += [(field.partial(i).partial(j),
-                       jets._leaf(numeric, j, jets._partial_at))
+                       layer_partial(numeric, j))
                       for j in sorted(field.deps)]
             for point in POINTS:
                 coords = list(point)

@@ -17,7 +17,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # Ops of nodes that run a numeric Taylor layer (or a nested evaluation) at
 # each point instead of being graph nodes themselves.
-NUMERIC = {jets._partial_at, jets._layer_at, jets._pulled_back}
+NUMERIC = {jets._layer_at, jets._pulled_back}
 
 
 def load(path, name):

@@ -2,13 +2,14 @@ import math
 
 import pytest
 
+from algcalc import jets
 from algcalc.errors import DimensionMismatch, NonSmoothPoint
 from algcalc.exprlang import parse_field
 from algcalc.jets import (Point, ScalarField, compose, eval_jet, fd_partial,
                           t_abs, t_div, t_ln, t_pow, t_sqrt)
 from algcalc.linalg import field_matrix_inverse
 
-from conftest import box_samples
+from conftest import box_samples, layer_partial
 
 
 def f_poly(m=2, r=2):
@@ -99,6 +100,28 @@ def test_out_of_range_partial_rejected():
     f = ScalarField.const(2, 2, 1.0)
     with pytest.raises(DimensionMismatch):
         f.partial(4)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda f, pt: eval_jet(f, pt, 4), ValueError, "order must be in 0..3"),
+    (lambda f, pt: eval_jet(f, Point((0.5, 0.1), (0.2,)), 1),
+     DimensionMismatch, "point has 3 coordinates, field expects 2"),
+    (lambda f, pt: fd_partial(f, pt, 0, 0.0), ValueError,
+     "step must be positive"),
+    (lambda f, pt: fd_partial(f, pt, 2), DimensionMismatch,
+     "coordinate index 2 out of range"),
+    (lambda f, pt: compose(f, [f]), DimensionMismatch,
+     "compose needs one inner field per coordinate"),
+    (lambda f, pt: ScalarField.coordinate(1, 1, 2), DimensionMismatch,
+     "coordinate index 2 out of range"),
+    (lambda f, pt: f + parse_field("x1", 1, 2), DimensionMismatch,
+     "fields live over different coordinates"),
+], ids=["jet order", "jet point", "fd step", "fd index", "compose arity",
+        "coordinate", "dims"])
+def test_bad_arguments_raise(call, error, message):
+    f, pt = parse_field("x1*y1", 1, 1), Point((0.5,), (0.2,))
+    with pytest.raises(error, match=message):
+        call(f, pt)
 
 
 def test_nonsmooth_points_raise():
@@ -208,22 +231,29 @@ def counted_leaf(m, r, calls):
 
 
 def test_jet_evaluates_a_shared_leaf_once():
+    # the field and its partial chains share the leaf; each numeric layer
+    # that a partial runs on a node over the leaf runs it once more: one
+    # for the first partial's pair, two for the pairs of its value and
+    # coefficient, four more at order 3
     calls = []
     g = counted_leaf(1, 1, calls)
     jet = eval_jet(g * g + g, Point((0.5,), (0.2,)), 2)
-    assert len(calls) == 1
+    assert len(calls) == 4
     assert jet.value == 0.75
     assert jet.first == (2.0, 0.0)
     assert jet.second[0][0] == 2.0
-    # three nested layers still run the leaf once
     calls.clear()
     jet = eval_jet(g * g * g + g, Point((0.5,), (0.2,)), 3)
-    assert len(calls) == 1
+    assert len(calls) == 8
     assert jet.value == 0.625
     assert jet.first == (1.75, 0.0)
     assert jet.second[0][0] == 3.0
     assert jet.third[0][0][0] == 6.0
     assert jet.third[0][0][1] == 0.0
+
+
+# The matrix whose inverse the golden "inverse entry" field reads
+GOLDEN_MATRIX = [["2 + x1*y1", "sin(x2)"], ["x1 - y1", "3 + cos(x1*x2)"]]
 
 
 def golden_fields():
@@ -234,8 +264,7 @@ def golden_fields():
     def f(source):
         return parse_field(source, m, r)
 
-    mat = [[f("2 + x1*y1"), f("sin(x2)")],
-           [f("x1 - y1"), f("3 + cos(x1*x2)")]]
+    mat = [[f(source) for source in row] for row in GOLDEN_MATRIX]
     return {
         "arithmetic": f("x1*y1 + x2 - x1/x2"),
         "negation": f("-(x1 - y1)/(1 + x2^2) - -x2"),
@@ -448,6 +477,34 @@ def test_golden_bits_of_values_and_partials():
     for name, field in fields.items():
         for point, expected in zip(GOLDEN_POINTS, GOLDEN[name]):
             assert golden_bits(field, list(point)) == expected, (name, point)
+
+
+def test_partials_over_inverse_entries_equal_the_numeric_layer():
+    # the layer over graph nodes cannot see into a matrix inverse: it meets
+    # each entry as a node that runs a numeric layer on it at the point,
+    # once for a first partial and again inside a second one
+    m, r = 2, 1
+    inv = field_matrix_inverse([[parse_field(source, m, r) for source in row]
+                                for row in GOLDEN_MATRIX])
+    x1 = parse_field("x1", m, r)
+    fields = [inv[0][1] * x1 + inv[1][0] * inv[1][0],
+              -(inv[0][0] * inv[0][1]) - x1,
+              inv[1][1] / (x1 + 2)]
+    compared = 0
+    for field in fields:
+        for i in range(m + r):
+            assert any(node.op is jets._layer_at
+                       for node in jets._topological(field.partial(i)))
+            numeric = layer_partial(field, i)
+            pairs = [(field.partial(i), numeric)]
+            pairs += [(field.partial(i).partial(j), layer_partial(numeric, j))
+                      for j in range(m + r)]
+            for point in GOLDEN_POINTS:
+                for symbolic, layer in pairs:
+                    assert symbolic(list(point)).hex() == \
+                        layer(list(point)).hex(), (i, point)
+                    compared += 1
+    assert compared == 108
 
 
 def test_sqrt_partial_near_zero_is_finite():
