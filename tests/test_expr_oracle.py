@@ -4,10 +4,11 @@ the derivative engine.
 A fixed-seed generator builds expressions over (x1, x2, y1): trees at most
 ``HEIGHT`` tall with all eight functions, ``^`` with integer and real
 exponents, and literals that fold to ``-0.0``.  Each expression must
-print and reparse to the same tree.  At the fixed ``POINTS``, its value
-and its three first partials hash to ``DIGEST``: the ``float.hex`` of each
-number, or the class name of the exception its evaluation raises.  Its
-jets of orders 1-3 must hold its value and its partial chains bit for bit,
+print and reparse to the same tree.  At the fixed ``POINTS`` and at the
+six ``seeded_points()`` in [-1.5, 1.5]^3, its value, its three first
+partials and its nine second partials hash to ``DIGEST``: the
+``float.hex`` of each number, or the class name of the exception its
+evaluation raises.  Its jets of orders 1-3 must hold its value and its partial chains bit for bit,
 its first and second partials must equal the numeric layer's bit for bit,
 and each partial must match a central finite difference wherever the
 steps 1e-4 and 1e-5 agree with each other.
@@ -52,7 +53,7 @@ REAL_EXPONENTS = (0.5, 1.5, 2.5)
 ERRORS = (GeometryError, ArithmeticError, ValueError)
 
 # SHA-256 of ``records()``
-DIGEST = "feab6687cfb6e503b6e08593fe05c39e538afe88b59bbd904f54e573fb0afb9e"
+DIGEST = "ffc781daf5d35de5ba12e367c92d3c419ed1d79358b0ae6883275173a2b95398"
 
 
 def leaf(rng, height):
@@ -102,6 +103,12 @@ def trees():
     return [expr(rng, HEIGHT) for _ in range(COUNT)]
 
 
+def seeded_points():
+    rng = random.Random(SEED)
+    return [tuple(rng.uniform(-1.5, 1.5) for _ in range(M + R))
+            for _ in range(6)]
+
+
 def children(tree):
     if isinstance(tree, Call):
         return tree.args
@@ -132,18 +139,21 @@ def outcome(thunk):
 
 
 def records():
-    """One line per expression and point: its source, the value and the
-    three first partials."""
+    """One line per expression and point: its source, the value, the three
+    first partials and the nine second partials ``partial(i).partial(j)``,
+    i major."""
     lines = []
     for tree in trees():
         source = to_source(tree)
         field = to_field(tree, M, R)
         partials = [field.partial(i) for i in range(M + R)]
-        for point in POINTS:
+        seconds = [g.partial(j) for g in partials for j in range(M + R)]
+        for point in POINTS + seeded_points():
             coords = list(point)
             lines.append(" ".join(
                 [source, "@", repr(point)] +
-                [outcome(lambda g=g: g(coords)) for g in [field, *partials]]))
+                [outcome(lambda g=g: g(coords))
+                 for g in [field, *partials, *seconds]]))
     return lines
 
 
