@@ -209,31 +209,14 @@ def _cov_deriv(D: DConnection, T: DTensorField, vertical: bool):
     return DTensorField(A, T.sig.extended(new_slot), comps)
 
 
-def h_cov_deriv(D: DConnection, T: DTensorField,
-                gamma: Optional[int] = None):
-    """Horizontal covariant derivative; appends one covariant H slot, or
-    returns the fixed-gamma slice when ``gamma`` is given."""
-    ext = _cov_deriv(D, T, vertical=False)
-    if gamma is None:
-        return ext
-    return _slice_last(ext, gamma)
+def h_cov_deriv(D: DConnection, T: DTensorField):
+    """Horizontal covariant derivative; appends one covariant H slot."""
+    return _cov_deriv(D, T, vertical=False)
 
 
-def v_cov_deriv(D: DConnection, T: DTensorField, c: Optional[int] = None):
-    """Vertical covariant derivative; appends one covariant V slot, or
-    returns the fixed-index slice when ``c`` is given."""
-    ext = _cov_deriv(D, T, vertical=True)
-    if c is None:
-        return ext
-    return _slice_last(ext, c)
-
-
-def _slice_last(T: DTensorField, index: int) -> DTensorField:
-    if not 0 <= index < T.dims[-1]:
-        raise IndexOutOfRange(f"derivative index {index} out of range")
-    sig = IndexSignature(T.sig.slots[:-1])
-    comps = {idx[:-1]: f for idx, f in T.comps.items() if idx[-1] == index}
-    return DTensorField(T.algebroid, sig, comps)
+def v_cov_deriv(D: DConnection, T: DTensorField):
+    """Vertical covariant derivative; appends one covariant V slot."""
+    return _cov_deriv(D, T, vertical=True)
 
 
 def cov_deriv_along(D: DConnection, X, T: DTensorField) -> DTensorField:

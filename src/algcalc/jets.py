@@ -8,14 +8,16 @@ key while it lives, from a table that holds nodes weakly.
 
 ``partial`` differentiates symbolically.  It builds the derivative as graph
 nodes, once per node and coordinate, by running first-order Taylor
-arithmetic over graph nodes instead of floats: each value and coefficient
-that a first-order Taylor layer seeded along the coordinate computes at a
-point becomes a node that computes it.  So a partial agrees with that
-layer bit for bit and raises where it raises, and a derived field (e.g. a
-Hessian entry) is a graph that is differentiable again.  Each primitive
-(sin, cos, exp, ln, sqrt and the reciprocal of every division) is declared
-once, by its value, its derivative and its domain, and both kinds of layer
-read that one derivative.
+arithmetic over graph nodes instead of floats.  A first-order layer is
+seeded along one coordinate, and each of its scalars holds a value and one
+coefficient along that coordinate, None where it has no term; each value
+and coefficient that such a layer computes at a point becomes a node that
+computes it.  So a partial agrees with that layer bit for bit and raises
+where it raises, and a derived field (e.g. a Hessian entry) is a graph
+that is differentiable again.  Each primitive (sin, cos, exp, ln, sqrt
+and the reciprocal of every division) is declared once, by its value, its
+derivative and its domain, and both kinds of layer read that one
+derivative.
 
 A numeric layer remains only where no graph can be seen into: the layer
 over nodes meets an opaque leaf or a matrix inverse entry as a node that
@@ -52,18 +54,20 @@ def scalar_value(v):
 
 
 class Taylor:
-    """First-order expansion ``value + sum_k grad[k] * d_k`` in layer ``tag``.
+    """First-order expansion ``value + coef * d`` in layer ``tag``, where d
+    is the one coordinate the layer is seeded along.
 
-    ``grad`` maps a direction index to its coefficient and has no entry for
-    a direction without a term; it is never changed once built.  The value
-    and the coefficients may be Taylor objects of an enclosing layer.
+    ``coef`` is None where the expansion has no term.  That is not a zero
+    term: the sqrt/abs kink rule and the signs of zeros tell them apart.
+    The value and the coefficient may be Taylor objects of an enclosing
+    layer.
     """
 
-    __slots__ = ("value", "grad", "tag")
+    __slots__ = ("value", "coef", "tag")
 
-    def __init__(self, value, grad, tag):
+    def __init__(self, value, coef, tag):
         self.value = value
-        self.grad = grad
+        self.coef = coef
         self.tag = tag
 
     def _same_layer(self, other):
@@ -73,16 +77,15 @@ class Taylor:
 
     def __add__(self, other):
         if self._same_layer(other):
-            grad = dict(self.grad)
-            for k, v in other.grad.items():
-                grad[k] = grad[k] + v if k in grad else v
-            return Taylor(self.value + other.value, grad, self.tag)
-        return Taylor(self.value + other, self.grad, self.tag)
+            a, b = self.coef, other.coef
+            coef = b if a is None else a if b is None else a + b
+            return Taylor(self.value + other.value, coef, self.tag)
+        return Taylor(self.value + other, self.coef, self.tag)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Taylor(-self.value, {k: -v for k, v in self.grad.items()},
+        return Taylor(-self.value, None if self.coef is None else -self.coef,
                       self.tag)
 
     def __sub__(self, other):
@@ -94,12 +97,14 @@ class Taylor:
     def __mul__(self, other):
         if self._same_layer(other):
             a, b = self.value, other.value
-            grad = {k: a * v for k, v in other.grad.items()}
-            for k, v in self.grad.items():
-                grad[k] = grad[k] + v * b if k in grad else v * b
-            return Taylor(a * b, grad, self.tag)
+            coef = None if other.coef is None else a * other.coef
+            if self.coef is not None:
+                coef = (self.coef * b if coef is None
+                        else coef + self.coef * b)
+            return Taylor(a * b, coef, self.tag)
         return Taylor(self.value * other,
-                      {k: v * other for k, v in self.grad.items()}, self.tag)
+                      None if self.coef is None else self.coef * other,
+                      self.tag)
 
     __rmul__ = __mul__
 
@@ -110,7 +115,7 @@ class Taylor:
         return _inv(self) * other
 
     def __repr__(self):
-        return f"Taylor({self.value!r}, {self.grad!r}, tag={self.tag})"
+        return f"Taylor({self.value!r}, {self.coef!r}, tag={self.tag})"
 
 
 def _chain(u: Taylor, f0, f1):
@@ -121,7 +126,7 @@ def _chain(u: Taylor, f0, f1):
     """
     c = u.value
     return Taylor((c + (-c)) * f1 + f0,
-                  {k: g * f1 for k, g in u.grad.items()}, u.tag)
+                  None if u.coef is None else u.coef * f1, u.tag)
 
 
 # -- smooth primitives, generic over float / Taylor ------------------------
@@ -146,9 +151,9 @@ def _primitive(f, df, kink=None):
                 return _kinked_chain(u, f0, primitive, df)
             if scalar_value(c) != 0.0:
                 return _chain(u, f0, df(c, f0))
-            if u.grad:
+            if u.coef is not None:
                 kink(c, u)   # raises, as c is zero
-            return Taylor(f0, {}, u.tag)
+            return Taylor(f0, None, u.tag)
         if isinstance(u, ScalarField):
             return derived(primitive, (u,))
         return f(u)
@@ -176,7 +181,7 @@ def _kinked_chain(u, f0, primitive, df):
     nonzero = derived(_nonzero_or_one, (c,))
     chained = _chain(u, f0, df(nonzero, primitive(nonzero)))
     return Taylor(derived(_where_nonzero, (c, chained.value, f0)),
-                  chained.grad, u.tag)
+                  chained.coef, u.tag)
 
 
 def _exp(u):
@@ -222,10 +227,10 @@ def t_abs(u):
         c = u.value
         if isinstance(c, ScalarField):
             return Taylor(derived(t_abs, (c,)),
-                          {k: derived(_signed, (c, _as_field(g, c)))
-                           for k, g in u.grad.items()}, u.tag)
-        if not u.grad and scalar_value(c) == 0.0:
-            return Taylor(t_abs(c), {}, u.tag)
+                          None if u.coef is None else
+                          derived(_signed, (c, _as_field(u.coef, c))), u.tag)
+        if u.coef is None and scalar_value(c) == 0.0:
+            return Taylor(t_abs(c), None, u.tag)
         return _signed(c, u)
     if isinstance(u, ScalarField):
         return derived(t_abs, (u,))
@@ -241,8 +246,8 @@ def _signed(c, g):
         node = derived(_signed, (cv, _as_field(_value(g), cv)))
         if not isinstance(g, Taylor):
             return node
-        return Taylor(node, {k: derived(_signed, (cv, _as_field(v, cv)))
-                             for k, v in g.grad.items()}, _NODE_TAG)
+        return Taylor(node, None if g.coef is None else
+                      derived(_signed, (cv, _as_field(g.coef, cv))), _NODE_TAG)
     _abs_kink(c, g)
     return g if scalar_value(c) > 0.0 else -g
 
@@ -487,9 +492,10 @@ class ScalarField:
                 partials[index] = self
             else:
                 out, guards = _layer(self, index)
+                coef = _coef(out)
                 partials[index] = derived(_then, (
                     *guards, _as_field(_value(out), self),
-                    _as_field(_grad(out).get(index, 0.0), self)))
+                    _as_field(0.0 if coef is None else coef, self)))
         return partials[index]
 
 
@@ -564,8 +570,8 @@ def _value(v):
     return v.value if isinstance(v, Taylor) else v
 
 
-def _grad(v):
-    return v.grad if isinstance(v, Taylor) else {}
+def _coef(v):
+    return v.coef if isinstance(v, Taylor) else None
 
 
 def _over_nodes(*values):
@@ -583,7 +589,7 @@ def _through(op, args, carrier):
     like = next(v for v in map(_value, args) if isinstance(v, ScalarField))
     node = derived(op, [_as_field(_value(a), like) for a in args])
     if isinstance(carrier, Taylor):
-        return Taylor(node, carrier.grad, _NODE_TAG)
+        return Taylor(node, carrier.coef, _NODE_TAG)
     return node
 
 
@@ -610,10 +616,9 @@ def _where_nonzero(c, a, b):
         if not isinstance(a, Taylor) and not isinstance(b, Taylor):
             return node
         # both branches of a kinked chain have a term where c has one
-        return Taylor(node, {
-            k: derived(_where_nonzero, (cv, _as_field(v, cv),
-                                        _as_field(b.grad[k], cv)))
-            for k, v in a.grad.items()}, _NODE_TAG)
+        return Taylor(node, None if a.coef is None else derived(
+            _where_nonzero, (cv, _as_field(a.coef, cv),
+                             _as_field(b.coef, cv))), _NODE_TAG)
     return a if scalar_value(c) != 0.0 else b
 
 
@@ -637,14 +642,15 @@ def _in_layer(node):
 
 def _layer(root, index):
     """``root`` in the first-order layer seeded along ``index`` whose
-    values and coefficients are graph nodes (a Taylor with ``_NODE_TAG``, a
-    float where the numeric layer has a constant, or a field where it has a
-    float computed at the point, such as one that raises), and the guards:
-    nodes that the numeric layer computes but whose values it drops, kept
-    for the errors they raise.  They are the check of each kinked
-    primitive whose argument has a term, and the arguments of an op with a
-    constant value, such as x^0.  Every node reached is lifted once, after
-    its arguments."""
+    values and coefficients are graph nodes (a Taylor with ``_NODE_TAG``
+    holding a value and one coefficient along ``index``, None where it has
+    no term; a float where the numeric layer has a constant; or a field
+    where it has a float computed at the point, such as one that raises),
+    and the guards: nodes that the numeric layer computes but whose values
+    it drops, kept for the errors they raise.  They are the check of each
+    kinked primitive whose argument has a term, and the arguments of an op
+    with a constant value, such as x^0.  Every node reached is lifted once,
+    after its arguments."""
     lifted, guards = {}, []
     stack = [root]
     while stack:
@@ -661,7 +667,7 @@ def _layer(root, index):
         args = [a.constant if a.constant is not None else lifted[a]
                 for a in args]
         out = lifted[node] = _lift(node, index, args)
-        if node.op in _KINKS and _grad(args[0]):
+        if node.op in _KINKS and _coef(args[0]) is not None:
             c = args[0].value
             guards.append(derived(_KINKS[node.op], (c, c)))
         if not isinstance(out, (Taylor, ScalarField)):
@@ -673,15 +679,14 @@ def _layer(root, index):
 def _lift(node, index, args):
     """``node`` in the layer along ``index``, its arguments there given."""
     if node.op is _coordinate:
-        return Taylor(node, {index: 1.0} if node.param == index else {},
-                      _NODE_TAG)
+        return Taylor(node, 1.0 if node.param == index else None, _NODE_TAG)
     if node.op is _raise:
         return node
     if not _in_layer(node):
         pair = _leaf(node, index, _layer_at)
-        coef = {}
+        coef = None
         if node.deps is None or index in node.deps:
-            coef = {index: derived(_LAYER_COEF, (pair,))}
+            coef = derived(_LAYER_COEF, (pair,))
         return Taylor(derived(_LAYER_VALUE, (pair,)), coef, _NODE_TAG)
     try:
         return node.op(*args)
@@ -693,14 +698,16 @@ def _lift(node, index, args):
 
 def _layer_at(spec, coords):
     """(value, coefficient) of ``base`` in a numeric first-order layer with
-    a fresh tag, seeded along ``index``."""
+    a fresh tag, seeded along ``index``: each coordinate is a Taylor with
+    no term (coefficient None) but coordinate ``index``, whose coefficient
+    is 1.0.  The coefficient is 0.0 where the result has no term."""
     base, index = spec
     tag = next(_TAG)
-    lifted = [Taylor(c, {}, tag) for c in coords]
-    lifted[index] = Taylor(coords[index], {index: 1.0}, tag)
+    lifted = [Taylor(c, None, tag) for c in coords]
+    lifted[index] = Taylor(coords[index], 1.0, tag)
     out = evaluate([base], lifted)[0]
     if isinstance(out, Taylor) and out.tag == tag:
-        return out.value, out.grad.get(index, 0.0)
+        return out.value, 0.0 if out.coef is None else out.coef
     return out, 0.0
 
 

@@ -29,11 +29,11 @@ def _scale(rows):
     return scale if scale > 0.0 else 1.0
 
 
-def invert(rows, tol=PIVOT_TOL):
+def invert(rows):
     """Inverse by Gauss-Jordan elimination with partial pivoting.
 
     Raises SingularMatrixError when an entry is not finite, or when the best
-    pivot is below ``tol`` relative to the largest input entry.
+    pivot is below ``PIVOT_TOL`` relative to the largest input entry.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -49,8 +49,9 @@ def invert(rows, tol=PIVOT_TOL):
     for col in range(n):
         pivot_row = max(range(col, n),
                         key=lambda i: abs(scalar_value(work[i][col])))
-        if abs(scalar_value(work[pivot_row][col])) <= tol * scale:
-            raise SingularMatrixError(f"pivot below {tol} in column {col}")
+        if abs(scalar_value(work[pivot_row][col])) <= PIVOT_TOL * scale:
+            raise SingularMatrixError(
+                f"pivot below {PIVOT_TOL} in column {col}")
         work[col], work[pivot_row] = work[pivot_row], work[col]
         inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
         pivot = work[col][col]
@@ -91,8 +92,10 @@ def residual_identity(a, b):
     return max(gaps, key=lambda gap: (math.isnan(gap), gap))
 
 
-def rank(rows, tol=RANK_TOL):
-    """Numerical rank by full-pivot elimination on a float matrix."""
+def rank(rows):
+    """Numerical rank by full-pivot elimination on a float matrix; a pivot
+    at most ``RANK_TOL`` relative to the largest input entry counts as
+    zero."""
     work = [[float(scalar_value(v)) for v in row] for row in rows]
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
@@ -105,7 +108,7 @@ def rank(rows, tol=RANK_TOL):
             for j in range(r, ncols):
                 if abs(work[i][j]) > best:
                     best, bi, bj = abs(work[i][j]), i, j
-        if best <= tol * scale:
+        if best <= RANK_TOL * scale:
             break
         work[r], work[bi] = work[bi], work[r]
         for row in work:
@@ -120,12 +123,12 @@ def rank(rows, tol=RANK_TOL):
     return r
 
 
-def sym_pivots(rows, tol=RANK_TOL):
+def sym_pivots(rows):
     """Pivots of a symmetric float matrix under diagonal pivoting.
 
     Returns the list of pivots encountered; stops early (padding with zeros)
-    when no remaining diagonal entry exceeds ``tol`` relative to the input
-    scale.  Signs of the pivots give the signature by Sylvester's law for
+    when no remaining diagonal entry exceeds ``RANK_TOL`` relative to the
+    input scale.  Signs of the pivots give the signature by Sylvester's law for
     the nondegenerate part.
     """
     work = [[float(scalar_value(v)) for v in row] for row in rows]
@@ -136,7 +139,7 @@ def sym_pivots(rows, tol=RANK_TOL):
     while active:
         k = max(active, key=lambda i: abs(work[i][i]))
         pivot = work[k][k]
-        if abs(pivot) <= tol * scale:
+        if abs(pivot) <= RANK_TOL * scale:
             pivots.extend(0.0 for _ in active)
             break
         pivots.append(pivot)
@@ -207,9 +210,9 @@ def _residual_identity(a, b):
     return residual_identity(a, b)
 
 
-def signature(rows, tol=RANK_TOL):
+def signature(rows):
     """(positive, negative, null) pivot counts of a symmetric matrix."""
-    pivots = sym_pivots(rows, tol)
+    pivots = sym_pivots(rows)
     pos = sum(1 for p in pivots if p > 0.0)
     neg = sum(1 for p in pivots if p < 0.0)
     return pos, neg, len(pivots) - pos - neg

@@ -124,17 +124,6 @@ def test_up_down_contraction_is_parallel():
             assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_slice_matches_full_derivative():
-    D = random_dconnection(11)
-    A = D.algebroid
-    T = vector_tensor(A, 12)
-    full = h_cov_deriv(D, T)
-    part = h_cov_deriv(D, T, gamma=1)
-    pt = [0.2, -0.3, 0.4, 0.5]
-    for i in range(A.p):
-        assert float(part[(i,)](pt)) == float(full[(i, 1)](pt))
-
-
 def test_cov_deriv_along_combines_blocks():
     D = random_dconnection(13)
     A = D.algebroid
