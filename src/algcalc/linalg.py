@@ -128,8 +128,8 @@ def sym_pivots(rows):
 
     Returns the list of pivots encountered; stops early (padding with zeros)
     when no remaining diagonal entry exceeds ``RANK_TOL`` relative to the
-    input scale.  Signs of the pivots give the signature by Sylvester's law for
-    the nondegenerate part.
+    input scale.  Signs of the pivots give the signature by Sylvester's law
+    for the nondegenerate part.
     """
     work = [[float(scalar_value(v)) for v in row] for row in rows]
     n = len(work)

@@ -8,10 +8,10 @@ print and reparse to the same tree.  At the fixed ``POINTS`` and at the
 six ``seeded_points()`` in [-1.5, 1.5]^3, its value, its three first
 partials and its nine second partials hash to ``DIGEST``: the
 ``float.hex`` of each number, or the class name of the exception its
-evaluation raises.  Its jets of orders 1-3 must hold its value and its partial chains bit for bit,
-its first and second partials must equal the numeric layer's bit for bit,
-and each partial must match a central finite difference wherever the
-steps 1e-4 and 1e-5 agree with each other.
+evaluation raises.  Its jets of orders 1-3 must hold its value and its
+partial chains bit for bit, its first and second partials must equal the
+numeric layer's bit for bit, and each partial must match a central finite
+difference wherever the steps 1e-4 and 1e-5 agree with each other.
 
 When a change means to move the hashed values, print the records and the
 new digest with
