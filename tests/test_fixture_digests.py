@@ -59,7 +59,7 @@ def run_key(fixture, command):
 
 def test_table_lists_every_run():
     table = json.loads(TABLE.read_text())
-    assert len(RUNS) == 77
+    assert len(RUNS) == 88
     assert sorted(table) == sorted(run_key(*run) for run in RUNS)
 
 
