@@ -189,35 +189,34 @@ def validate_structure(A: GeneralizedAlgebroid, samples: Sequence[Point],
 
 def jacobi_residual(A: GeneralizedAlgebroid, samples: Sequence[Point],
                     triple=None):
-    """Max norm over samples of the cyclic bracket sum, as (max, argmax
-    point).
+    """Max norm over samples of the cyclic bracket sum of ``triple``, or of
+    every triple of constant basis sections, as (max, argmax point).
 
-    With ``triple`` None, sweeps every triple of constant basis sections.
-    Each ``[X_a, X_b]`` is built once per ordered pair and each
-    ``[[X_a, X_b], X_c]`` once per ordered triple; the cyclic sum of a
-    triple reads its three terms from there.
+    Basis triples need no brackets: rho and L depend on x only and the
+    vertical basis sections are constant, so every bracket with a vertical
+    one is the zero section, and a horizontal triple (a, b, c) gives
+    ``J^d_abc = sum_cyc (sum_e L^e_ab L^d_ec - sum_i rho^i_c d_i L^d_ab)``,
+    each sum added in the order of ``bracket`` and ``anchor_action``.
     """
     if triple is not None:
-        sections, triples = list(triple), [(0, 1, 2)]
+        X, Y, Z = triple
+        cyclic = zip(*(bracket(A, bracket(A, U, V), W).components()
+                       for U, V, W in ((X, Y, Z), (Y, Z, X), (Z, X, Y))))
     else:
-        sections = basis_sections(A)
-        triples = itertools.product(range(len(sections)), repeat=3)
-    inner, outer = {}, {}
+        p, rho, L = A.p, A.rho, A.L
 
-    def double_bracket(a, b, c):
-        if (a, b, c) not in outer:
-            if (a, b) not in inner:
-                inner[a, b] = bracket(A, sections[a], sections[b])
-            outer[a, b, c] = bracket(A, inner[a, b],
-                                     sections[c]).components()
-        return outer[a, b, c]
+        def double_bracket(d, a, b, c):
+            return (contract((), (p,), A.zero_field,
+                             lambda e: L[e][a][b] * L[d][e][c])
+                    - contract((), (A.m,), A.zero_field,
+                               lambda i: rho[i][c] * L[d][a][b].partial(i)))
 
-    components = []
-    for a, b, c in triples:
-        cyclic = (double_bracket(a, b, c), double_bracket(b, c, a),
-                  double_bracket(c, a, b))
-        components.extend(u + v + w for u, v, w in zip(*cyclic))
-    return fields_sweep_max(components, samples)
+        outer = {k: double_bracket(*k)
+                 for k in itertools.product(range(p), repeat=4)}
+        cyclic = ((outer[d, a, b, c], outer[d, b, c, a], outer[d, c, a, b])
+                  for a, b, c in itertools.product(range(p), repeat=3)
+                  for d in range(p))
+    return fields_sweep_max([u + v + w for u, v, w in cyclic], samples)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -6,12 +7,12 @@ from algcalc.algebroid import (FrameDiffeoData, GeneralizedAlgebroid,
                                Section, basis_sections, bracket,
                                constant_section, from_frame, jacobi_residual,
                                validate_structure)
-from algcalc.errors import ShapeError
+from algcalc.errors import NonSmoothPoint, ShapeError
 from algcalc.exprlang import parse_field
 from algcalc.jets import Point, ScalarField
 
-from conftest import (box_samples, const, count_sweeps, identity_algebroid,
-                      so3_geometry)
+from conftest import (box_samples, const, count_sweeps, field_grid,
+                      identity_algebroid, so3_geometry)
 
 
 def exp_frame(m=2, r=2):
@@ -155,7 +156,33 @@ def test_frame_inverse_check_names_the_argmax_point():
         bad.check_invertible(pts)
 
 
-def test_jacobi_builds_each_bracket_once(monkeypatch):
+def structure(m, p, r, rho, L):
+    """The structure of the expression-string grids ``rho`` and ``L``."""
+    return GeneralizedAlgebroid(m=m, p=p, r=r, rho=field_grid(rho, m, r),
+                                L=field_grid(L, m, r))
+
+
+def non_lie_structure():
+    """x-dependent rho and L that satisfy neither anchor compatibility nor
+    the Jacobi identity (m = 2, p = 3, r = 2)."""
+    z = "0"
+    return structure(2, 3, 2, [["x1", "x2^2", z], [z, "1 + x1*x2", "x2"]],
+                     [[[z, "x2", "x1"], ["-x2", z, "2"], ["-x1", "-2", z]],
+                      [[z, "exp(x1)", z], ["-exp(x1)", z, "x1*x2"],
+                       [z, "-x1*x2", z]],
+                      [[z, "1", "x2^2"], ["-1", z, z], ["-x2^2", z, z]]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: so3_geometry()[0],
+    # [d1, x2 exp(x1) d1 + d2] = x2 exp(x1) d1: L depends on x
+    lambda: from_frame(FrameDiffeoData(2, 2, *(
+        field_grid(grid, 2, 2)
+        for grid in ([["1", "x2*exp(x1)"], ["0", "1"]],
+                     [["1", "-x2*exp(x1)"], ["0", "1"]])))),
+    non_lie_structure,
+], ids=["so3", "frame", "non_lie"])
+def test_jacobi_closed_form_matches_every_basis_triple(make, monkeypatch):
     from algcalc import algebroid
 
     calls = []
@@ -165,17 +192,51 @@ def test_jacobi_builds_each_bracket_once(monkeypatch):
         calls.append(1)
         return original(A, X1, X2)
 
-    A, _, _ = so3_geometry()
-    pts = box_samples(1, 3, 2, seed=7)
-    basis = basis_sections(A)
+    A = make()
+    pts = box_samples(A.m, A.r, 4, seed=7)
     monkeypatch.setattr(algebroid, "bracket", counting)
     value, arg = jacobi_residual(A, pts)
-    # 6 basis sections: 36 inner brackets, 216 outer ones
-    assert len(calls) == 36 + 216
+    assert calls == []
 
-    results = [jacobi_residual(A, pts, triple=(a, b, c))
-               for a in basis for b in basis for c in basis]
-    assert len(calls) == 36 + 216 + 6 * 216
-    best = max(v for v, _ in results)
-    first = min(pts.index(p) for v, p in results if v == best)
+    basis = basis_sections(A)
+    results = {}
+    for a, b, c in itertools.product(range(len(basis)), repeat=3):
+        results[a, b, c] = jacobi_residual(
+            A, pts, triple=(basis[a], basis[b], basis[c]))
+        if max(a, b, c) >= A.p:
+            assert results[a, b, c] == (0.0, pts[0])
+    best = max(v for v, _ in results.values())
+    first = min(pts.index(p) for v, p in results.values() if v == best)
     assert (value, arg) == (best, pts[first])
+
+
+def test_jacobi_of_a_non_lie_structure_is_nonzero():
+    A = non_lie_structure()
+    value, _ = jacobi_residual(A, box_samples(2, 2, 4, seed=7))
+    assert value > 0.1
+
+
+# Non-finite and non-smooth structure data must fail the Jacobi check with
+# NaN, or raise, at the point where they occur (m = p = 2, r = 1).
+ZERO_L = [[["0", "0"], ["0", "0"]]] * 2
+X_L = [[["0", "x2"], ["-x2", "0"]], [["0", "x1"], ["-x1", "0"]]]
+
+
+@pytest.mark.parametrize("rho, L", [
+    ([["x1*1e308*10", "0"], ["0", "1"]], X_L),
+    ([["1", "0"], ["0", "1"]],
+     [[["0", "x1*1e308*10"], ["-x1*1e308*10", "0"]], ZERO_L[1]]),
+    ([["1e308*10", "0"], ["0", "1"]], ZERO_L),
+], ids=["x_anchor", "structure", "const_anchor"])
+def test_jacobi_is_nan_at_the_first_point_of_infinite_data(rho, L):
+    A = structure(2, 2, 1, rho, L)
+    pts = box_samples(2, 1, 3, seed=8)
+    value, arg = jacobi_residual(A, pts)
+    assert math.isnan(value) and arg == pts[0]
+
+
+def test_jacobi_raises_where_the_anchor_is_not_smooth():
+    A = structure(2, 2, 1, [["ln(x1)", "0"], ["0", "1"]], ZERO_L)
+    pts = [Point((0.5, 0.2), (0.3,)), Point((-0.5, 0.2), (0.3,))]
+    with pytest.raises(NonSmoothPoint, match="ln of a non-positive argument"):
+        jacobi_residual(A, pts)
