@@ -11,6 +11,7 @@ pointwise by pivoted elimination, once per ``evaluate`` call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -81,11 +82,16 @@ class MetricStructure:
     def r(self):
         return self.algebroid.r
 
+    # built once per instance: a constant block folds its inverse into a
+    # list-valued constant, which is not interned
+    _gh_inv = cached_property(lambda self: _inverse(self.gh))
+    _gv_inv = cached_property(lambda self: _inverse(self.gv))
+
     def gh_inv(self):
-        return _inverse(self.gh)
+        return self._gh_inv
 
     def gv_inv(self):
-        return _inverse(self.gv)
+        return self._gv_inv
 
     def inverse_at(self, point: Point):
         """Numeric inverses of both blocks at a point, with the residual

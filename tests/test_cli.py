@@ -448,6 +448,19 @@ def test_metrizability_builds_one_gl_metric(capsys, tmp_path, monkeypatch):
     assert len(hessians) == 1
 
 
+@pytest.mark.parametrize("command", [["metrizability"],
+                                     ["connection", "obata"]])
+def test_constant_metric_blocks_are_inverted_once(capsys, monkeypatch,
+                                                  command):
+    # both blocks of flat.json are constant, so each inverse folds at
+    # construction, once per block
+    from algcalc import linalg
+    inversions = count_calls(monkeypatch, linalg, "invert")
+    code, _, _ = run_cli(capsys, *command, fixture_path("flat.json"))
+    assert code == 0
+    assert len(inversions) == 2
+
+
 def test_finsler_check_draws_samples_and_builds_hessian_once(capsys,
                                                              monkeypatch):
     from algcalc import lagrange, sampling
