@@ -24,6 +24,15 @@ over nodes meets an opaque leaf or a matrix inverse entry as a node that
 runs a numeric first-order layer on it at each point.  Each numeric layer
 carries a tag so that operands from different layers never merge
 coefficients.  ``eval_jet`` reads its tables from partial chains.
+
+``evaluate_points`` computes a node at a block of points in one walk of
+its graph, each node taking one column of values; ``sampling.sweep`` runs
+each block of its points through it.  The sweep goes point by point,
+through ``evaluate``, for a block that raises (so that the error raised is
+the first one in point order), for a block of one point, and for a graph
+that ``calls_out`` to code whose calls a caller can count (opaque leaves,
+numeric layers).  ``evaluate`` stays the single-point path of probes,
+``eval_jet`` and the numeric layers.
 """
 
 from __future__ import annotations
@@ -722,6 +731,9 @@ def _pulled_back(spec, coords, *values):
     return op(param, values[:n], *values[n:])
 
 
+_OPAQUE_OPS = frozenset({_opaque, _layer_at, _pulled_back})
+
+
 def compose(outer: ScalarField, inner: Sequence[ScalarField]) -> ScalarField:
     """The pullback ``outer(inner_0, ..., inner_{n-1})``: the nodes of
     ``outer`` built again over the fields ``inner``, one per coordinate of
@@ -788,6 +800,53 @@ def evaluate(fields, coords):
             values[node] = node.op(node.param, coords,
                                    *map(value_of, node.args))
     return [values[f] for f in fields]
+
+
+def evaluate_points(root, coords_list):
+    """Values of ``root`` at each of ``coords_list``, in that order.
+
+    The nodes are walked once, in ``evaluate``'s order, and each takes one
+    column of values, one per point: ``map`` of its op over the columns of
+    its arguments (and the param and the coordinates, when it has a
+    param), or its constant repeated.  A column is dropped after its last
+    reader.  Errors come in node order, not point order, so the first error
+    raised may not be the one ``evaluate`` meets at the first failing
+    point.
+    """
+    if root._order is None:
+        root._order = _topological(root)
+    nodes = (*root._order, root)
+    last = {}
+    for j, node in enumerate(nodes):
+        for a in node.args:
+            last[a] = j
+    drops = [[] for _ in nodes]
+    for a, j in last.items():
+        drops[j].append(a)
+    n = len(coords_list)
+    columns = {}
+    column_of = columns.__getitem__
+    for node, dropped in zip(nodes, drops):
+        if node.constant is not None:
+            columns[node] = [node.constant] * n
+        elif node.param is None:
+            columns[node] = list(map(node.op, *map(column_of, node.args)))
+        else:
+            columns[node] = list(map(node.op, itertools.repeat(node.param, n),
+                                     coords_list, *map(column_of, node.args)))
+        for a in dropped:
+            del columns[a]
+    return columns[root]
+
+
+def calls_out(root):
+    """Whether ``root`` reaches a node that runs code the graph cannot see
+    into (an opaque leaf, a numeric layer, a pulled-back opaque node), whose
+    calls a caller can count."""
+    if root._order is None:
+        root._order = _topological(root)
+    return any(node.op in _OPAQUE_OPS
+               for node in itertools.chain(root._order, (root,)))
 
 
 def pack(fields):

@@ -14,10 +14,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .errors import EmptyBox
-from .jets import Point, evaluate, pack
+from .jets import Point, calls_out, evaluate, evaluate_points, pack
 
 DEFAULT_FIBER_FLOOR = 1e-3
 _MAX_ATTEMPTS = 1000
+
+# Points per ``evaluate_points`` call of a sweep: enough to spread the cost
+# of walking the graph, few enough that its columns stay small.
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -154,31 +158,93 @@ def sweep(groups, points):
     """``fields_sweep_max`` of each group of fields over the same points:
     one (max, argmax point) per group.
 
-    Each point takes one ``evaluate`` call over the fields of every group
-    still open, so a node shared by fields of several groups runs once per
-    point.  A group whose max is NaN is settled and not evaluated at later
-    points.
+    The points are taken in blocks of ``BLOCK``.  A block takes one
+    ``evaluate_points`` call over the fields of every group still open, so
+    each node runs once per block, on a column of values, and a node shared
+    by fields of several groups runs once per point.  A group whose max is
+    NaN is settled at that point: its values at later points of the block
+    are ignored, and it is not evaluated at later blocks.
+
+    Three kinds of block are swept point by point instead, one ``evaluate``
+    call per point, with each group settled as soon as its max is NaN:
+    - a block that raises, so that the first error raised is the one the
+      point order meets;
+    - a block of one point, which ``evaluate`` runs faster;
+    - a block whose graph ``calls_out`` to code that the caller can see
+      called, so that a settled group's opaque leaves are called at no
+      later point.
     """
     groups = [list(group) for group in groups]
     results = [(0.0, None)] * len(groups)
     live = list(range(len(groups)))
+    points = list(points)
     packed = None   # one node over the live fields; keeps its node order
+    for start in range(0, len(points), BLOCK):
+        if packed is None:
+            if not live:
+                break
+            spans, packed = _pack(groups, live)
+        block = points[start:start + BLOCK]
+        rows = None
+        # ``packed.args`` is empty when every live group is
+        if len(block) > 1 and packed.args and not calls_out(packed):
+            try:
+                rows = evaluate_points(packed, [p.coords() for p in block])
+            except Exception:
+                # any error: the sweep point by point raises the one the
+                # point order meets first, or none if a group settled
+                # before that point holds the failing node
+                pass
+        if rows is None:
+            _sweep_pointwise(groups, results, live, spans, packed, block)
+            packed = None
+        else:
+            for point, row in zip(block, rows):
+                if _take(results, live, spans, point, row):
+                    packed = None
+    return results
+
+
+def _pack(groups, live):
+    """The (group, start, stop) spans of the live groups' fields in one
+    packed node, and that node."""
+    spans, fields = [], []
+    for k in live:
+        spans.append((k, len(fields), len(fields) + len(groups[k])))
+        fields += groups[k]
+    return spans, pack(fields)
+
+
+def _take(results, live, spans, point, row):
+    """Fold ``row``, the values of the packed fields at ``point``, into the
+    results of the live groups; settle a group whose max is NaN.  True if
+    one settled."""
+    settled = False
+    for k, start, stop in spans:
+        if k not in live:
+            continue
+        magnitude = sweep_max(float, row[start:stop])[0]
+        best, arg = results[k]
+        if math.isnan(magnitude):
+            live.remove(k)
+            settled = True
+            results[k] = magnitude, point
+        elif arg is None or magnitude > best:
+            results[k] = magnitude, point
+    return settled
+
+
+def _sweep_pointwise(groups, results, live, spans, packed, points):
+    """Sweep ``points`` one ``evaluate`` call at a time, packing the live
+    fields again after a group settles."""
     for point in points:
         if packed is None:
             if not live:
                 break
-            packed = pack([f for k in live for f in groups[k]])
-        values = iter(evaluate([packed], point.coords())[0])
-        for k in list(live):
-            magnitude = sweep_max(float, [next(values) for _ in groups[k]])[0]
-            best, arg = results[k]
-            if math.isnan(magnitude):
-                live.remove(k)
-                packed = None
-                results[k] = magnitude, point
-            elif arg is None or magnitude > best:
-                results[k] = magnitude, point
-    return results
+            spans, packed = _pack(groups, live)
+        if _take(results, live, spans, point,
+                 evaluate([packed], point.coords())[0]):
+            packed = None
 
 
 def fields_sweep_max(fields, points):

@@ -4,9 +4,10 @@ import tracemalloc
 
 import pytest
 
-from algcalc.errors import EmptyBox
+from algcalc import jets, linalg, sampling
+from algcalc.errors import EmptyBox, NonSmoothPoint
 from algcalc.exprlang import parse_field
-from algcalc.jets import ScalarField
+from algcalc.jets import Point, ScalarField, evaluate
 from algcalc.sampling import (SampleBox, ValidationReport, fields_sweep_max,
                               generate, sweep, sweep_max)
 
@@ -148,3 +149,81 @@ def test_sweep_memory_does_not_grow_with_points():
     finally:
         tracemalloc.stop()
     assert grown < 4096
+
+
+def reference_sweep(groups, points):
+    """(max, argmax point) of each group, one ``evaluate`` call per group
+    and point."""
+    return [sweep_max(lambda p: sweep_max(float, evaluate(group,
+                                                          p.coords()))[0],
+                      points)
+            for group in groups]
+
+
+def test_block_sweep_matches_a_per_point_reference(monkeypatch):
+    blocks = []
+    monkeypatch.setattr(sampling, "evaluate_points",
+                        lambda root, coords: blocks.append(len(coords))
+                        or jets.evaluate_points(root, coords))
+    pts = generate(unit_box(2, 1), 130, seed=8, fiber_floor=None)
+    # the largest values come at point 70 and again at an equal point 100,
+    # so the argmax is the first of the two
+    pts[70] = Point((2.0, -2.0), (2.0,))
+    pts[100] = Point((2.0, -2.0), (2.0,))
+    field = lambda text: parse_field(text, 2, 1)   # noqa: E731
+    mat = [[field("2 + x1^2"), field("x1*y1 - x2")],
+           [field("x2*y1"), field("3 + sin(x2)*y1^2")]]
+    groups = [
+        [f for row in linalg.field_matrix_inverse(mat) for f in row],
+        [field("exp(x1*y1) - x2^3"), field("sqrt(x1^2 + y1^2)*cos(x2)")],
+        [field("x1*0.0 + 0.25")],     # the same max at every point
+        [mat[0][1] * mat[1][0]],
+    ]
+    got = sweep(groups, pts)
+    want = reference_sweep(groups, pts)
+    assert blocks == [64, 64, 2]
+    for (value, arg), (ref, ref_arg) in zip(got, want):
+        assert value.hex() == ref.hex() and arg is ref_arg
+    assert got[2][1] is pts[0] and got[3][1] is pts[70]
+
+
+def test_a_block_raises_the_error_the_point_order_meets():
+    # in node order, ln fails first (at x1 = -0.3); in point order, the
+    # power fails first (at x1 = 0.2)
+    pts = [Point((x,), (0.5,)) for x in (0.5, 0.2, -0.3, 0.9)]
+    fields = [parse_field("ln(x1 + 0.1)", 1, 1),
+              parse_field("(x1 - 0.5)^0.5", 1, 1)]
+    with pytest.raises(NonSmoothPoint,
+                       match="non-integer power of a non-positive base"):
+        sweep([fields], pts)
+
+
+def test_a_group_settled_in_a_block_is_not_evaluated_later_in_it():
+    pts = [Point((x,), (0.5,)) for x in (0.9, -0.3, 0.2, 0.7)]
+    nan_first = parse_field("x1*1e308*10 - x1*1e308*10", 1, 1)
+    raises_second = parse_field("ln(x1)", 1, 1)
+    x = parse_field("x1", 1, 1)
+    (value, arg), good = sweep([[nan_first, raises_second], [x]], pts)
+    assert math.isnan(value) and arg is pts[0]
+    assert good == fields_sweep_max([x], pts) == (0.9, pts[0])
+
+
+def test_sweep_peak_memory_does_not_grow_with_points():
+    terms = " + ".join(f"sin({k}*x1 + y1)*cos(x1 - {k}*y1)*exp(-{k}*x1*y1)"
+                       for k in range(1, 11))
+    field = parse_field(terms, 1, 1)
+    fields = [field, field.partial(0)]
+    assert len(jets._topological(jets.pack(fields))) >= 500
+    pts = generate(unit_box(1, 1), 1280, seed=9, fiber_floor=None)
+
+    def peak(points):
+        fields_sweep_max(fields, points)   # cached orders in place
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fields_sweep_max(fields, points)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(pts) <= 1.5 * peak(pts[:128])
