@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 from . import dtensor, lagrange
@@ -568,7 +568,9 @@ COMMANDS = {
 }
 
 
+@cache
 def _build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="algcalc",
         description="Checks and constructions for anchored-bundle geometry")

@@ -1,8 +1,13 @@
+import argparse
+import hashlib
 import json
 import math
+import pathlib
+import types
 
 import pytest
 
+from algcalc import cli
 from algcalc.cli import dump_report, load_config, main
 from algcalc.errors import ConfigError
 
@@ -539,3 +544,44 @@ def test_metric_constructions_with_p_unequal_r(capsys, tmp_path):
     code, out, err = run_cli(capsys, "connection", "berwald", path)
     assert code == 2 and out == ""
     assert err == "error: the fiber-derivative connection needs p = r\n"
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(kwargs.get("prog"))
+        return argparse.ArgumentParser(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "argparse",
+                        types.SimpleNamespace(ArgumentParser=counted))
+    cli._build_parser.cache_clear()
+    try:
+        for _ in range(3):
+            code, _, _ = run_cli(capsys, "check-structure",
+                                 fixture_path("flat.json"))
+            assert code == 0
+    finally:
+        cli._build_parser.cache_clear()
+    assert built == ["algcalc"]
+
+
+def test_flags_of_one_call_do_not_reach_the_next(capsys, monkeypatch):
+    # the plain run prints the bytes recorded for it, as a fresh process
+    # does, after a run whose flags would change them
+    root = pathlib.Path(__file__).resolve().parent.parent
+    table = json.loads((root / "tests" / "fixture_digests.json").read_text())
+    monkeypatch.chdir(root)
+    code, flagged, _ = run_cli(capsys, "connection", "canonical",
+                               "fixtures/poincare.json",
+                               "--probe=-0.5,1,0.2,0.3", "--points", "3",
+                               "--tol", "0.5")
+    assert code == 0
+    payload = json.loads(flagged)
+    assert payload["points"] == 3
+    assert len(payload["metadata"]["blocks"]["hh"]["probes"]) == 2
+    code, plain, err = run_cli(capsys, "connection", "canonical",
+                               "fixtures/poincare.json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(plain.encode()).hexdigest() == \
+        table["poincare connection canonical"]["stdout"]
