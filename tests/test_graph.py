@@ -15,9 +15,10 @@ from algcalc.jets import ScalarField
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# Ops of nodes that run a numeric Taylor layer (or a nested evaluation) at
-# each point instead of being graph nodes themselves.
-NUMERIC = {jets._layer_at, jets._pulled_back}
+# Ops of nodes that run a numeric Taylor layer (or a nested evaluation, or
+# a caller's function) at each point instead of being graph nodes
+# themselves; a sweep over one of them goes point by point.
+NUMERIC = {jets._layer_at, jets._pulled_back, jets._opaque}
 
 
 def load(path, name):
