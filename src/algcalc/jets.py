@@ -29,10 +29,10 @@ coefficients.  ``eval_jet`` reads its tables from partial chains.
 its graph, each node taking one column of values; ``sampling.sweep`` runs
 each block of its points through it.  The sweep goes point by point,
 through ``evaluate``, for a block that raises (so that the error raised is
-the first one in point order), for a block of one point, and for a graph
-that ``calls_out`` to code whose calls a caller can count (opaque leaves,
-numeric layers).  ``evaluate`` stays the single-point path of probes,
-``eval_jet`` and the numeric layers.
+the first one in point order), for a block of one or two points, and for
+a graph that ``calls_out`` to code whose calls a caller can count (opaque
+leaves, numeric layers).  ``evaluate`` stays the single-point path of
+probes, ``eval_jet`` and the numeric layers.
 """
 
 from __future__ import annotations

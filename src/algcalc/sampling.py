@@ -20,8 +20,12 @@ DEFAULT_FIBER_FLOOR = 1e-3
 _MAX_ATTEMPTS = 1000
 
 # Points per ``evaluate_points`` call of a sweep: enough to spread the cost
-# of walking the graph, few enough that its columns stay small.
+# of walking the graph, few enough that its columns stay small.  A block of
+# fewer than ``MIN_BLOCK`` points goes point by point: on a 758-node graph,
+# ``evaluate`` took 0.34 ms a point, and a block 0.83 ms a point at 1
+# point, 0.45 ms at 2 and about as long as ``evaluate`` at 3.
 BLOCK = 64
+MIN_BLOCK = 3
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,8 @@ def sweep(groups, points):
     call per point, with each group settled as soon as its max is NaN:
     - a block that raises, so that the first error raised is the one the
       point order meets;
-    - a block of one point, which ``evaluate`` runs faster;
+    - a block of fewer than ``MIN_BLOCK`` points, which ``evaluate`` runs
+      faster;
     - a block whose graph ``calls_out`` to code that the caller can see
       called, so that a settled group's opaque leaves are called at no
       later point.
@@ -187,7 +192,8 @@ def sweep(groups, points):
         block = points[start:start + BLOCK]
         rows = None
         # ``packed.args`` is empty when every live group is
-        if len(block) > 1 and packed.args and not calls_out(packed):
+        if len(block) >= MIN_BLOCK and packed.args and \
+                not calls_out(packed):
             try:
                 rows = evaluate_points(packed, [p.coords() for p in block])
             except Exception:
