@@ -191,7 +191,7 @@ def sweep(groups, points):
             spans, packed = _pack(groups, live)
         block = points[start:start + BLOCK]
         rows = None
-        # ``packed.args`` is empty when every live group is
+        # a node over no fields has no column to map over
         if len(block) >= MIN_BLOCK and packed.args and \
                 not calls_out(packed):
             try:
@@ -202,8 +202,8 @@ def sweep(groups, points):
                 # before that point holds the failing node
                 pass
         if rows is None:
-            _sweep_pointwise(groups, results, live, spans, packed, block)
-            packed = None
+            spans, packed = _sweep_pointwise(groups, results, live, spans,
+                                             packed, block)
         else:
             for point, row in zip(block, rows):
                 if _take(results, live, spans, point, row):
@@ -242,7 +242,8 @@ def _take(results, live, spans, point, row):
 
 def _sweep_pointwise(groups, results, live, spans, packed, points):
     """Sweep ``points`` one ``evaluate`` call at a time, packing the live
-    fields again after a group settles."""
+    fields again after a group settles.  Returns the spans and packed node
+    left at the end (None if a group settled at the last point)."""
     for point in points:
         if packed is None:
             if not live:
@@ -251,6 +252,7 @@ def _sweep_pointwise(groups, results, live, spans, packed, points):
         if _take(results, live, spans, point,
                  evaluate([packed], point.coords())[0]):
             packed = None
+    return spans, packed
 
 
 def fields_sweep_max(fields, points):
