@@ -14,10 +14,12 @@ coefficient along that coordinate, None where it has no term; each value
 and coefficient that such a layer computes at a point becomes a node that
 computes it.  So a partial agrees with that layer bit for bit and raises
 where it raises, and a derived field (e.g. a Hessian entry) is a graph
-that is differentiable again.  Each primitive (sin, cos, exp, ln, sqrt
-and the reciprocal of every division) is declared once, by its value, its
-derivative and its domain, and both kinds of layer read that one
-derivative.
+that is differentiable again.  Each node is lifted into the layer once
+per coordinate while it lives: the node keeps its lift and the guards it
+adds, and every later partial that reaches it along that coordinate reads
+them there.  Each primitive (sin, cos, exp, ln, sqrt and the reciprocal of
+every division) is declared once, by its value, its derivative and its
+domain, and both kinds of layer read that one derivative.
 
 A numeric layer remains only where no graph can be seen into: the layer
 over nodes meets an opaque leaf or a matrix inverse entry as a node that
@@ -433,7 +435,8 @@ class ScalarField:
     """
 
     __slots__ = ("m", "r", "param", "deps", "op", "args", "constant",
-                 "_order", "_partials", "__weakref__")
+                 "_order", "_drops", "_calls_out", "_partials", "_lifts",
+                 "__weakref__")
 
     def __init__(self, m, r, param, deps=None, op=_opaque, args=(),
                  constant=None):
@@ -441,7 +444,10 @@ class ScalarField:
         self.deps = None if deps is None else frozenset(deps)
         self.op, self.args, self.constant = op, args, constant
         self._order = None      # set by ``evaluate``
+        self._drops = None      # set by ``evaluate_points``
+        self._calls_out = None  # set by ``calls_out``
         self._partials = None   # index -> field, filled by ``partial``
+        self._lifts = None      # index -> (lift, own guards), by ``_layer``
 
     @property
     def n(self):
@@ -487,9 +493,12 @@ class ScalarField:
 
         It is the coefficient of this field in the first-order layer over
         graph nodes seeded along ``index``, computed after the layer's value
-        of the field, so that it raises wherever the layer does.  A node the
-        layer cannot see into (an opaque leaf, a matrix inverse entry) enters
-        it as a node that runs a numeric layer at each point."""
+        of the field, so that it raises wherever the layer does.  Each node
+        is lifted into the layer once per coordinate while it lives, so a
+        partial walks the nodes that earlier partials lifted along ``index``
+        without lifting them again.  A node the layer cannot see into (an
+        opaque leaf, a matrix inverse entry) enters it as a node that runs a
+        numeric layer at each point."""
         partials = self._partials = self._partials or {}
         if index not in partials:
             if not 0 <= index < self.n:
@@ -658,8 +667,10 @@ def _layer(root, index):
     and the guards: nodes that the numeric layer computes but whose values
     it drops, kept for the errors they raise.  They are the check of each
     kinked primitive whose argument has a term, and the arguments of an op
-    with a constant value, such as x^0.  Every node reached is lifted once,
-    after its arguments."""
+    with a constant value, such as x^0.  The walk reaches every node after
+    its arguments and adds its guards in that order.  A node is lifted, and
+    its own guards built, the first time a walk along ``index`` reaches it;
+    both are kept in its ``_lifts`` for every later walk."""
     lifted, guards = {}, []
     stack = [root]
     while stack:
@@ -673,15 +684,21 @@ def _layer(root, index):
             stack.extend(todo)
             continue
         stack.pop()
-        args = [a.constant if a.constant is not None else lifted[a]
-                for a in args]
-        out = lifted[node] = _lift(node, index, args)
-        if node.op in _KINKS and _coef(args[0]) is not None:
-            c = args[0].value
-            guards.append(derived(_KINKS[node.op], (c, c)))
-        if not isinstance(out, (Taylor, ScalarField)):
-            guards += [_value(a) for a in args
-                       if isinstance(a, (Taylor, ScalarField))]
+        lifts = node._lifts = node._lifts or {}
+        if index not in lifts:
+            args = [a.constant if a.constant is not None else lifted[a]
+                    for a in args]
+            out = _lift(node, index, args)
+            own = []
+            if node.op in _KINKS and _coef(args[0]) is not None:
+                c = args[0].value
+                own.append(derived(_KINKS[node.op], (c, c)))
+            if not isinstance(out, (Taylor, ScalarField)):
+                own += [_value(a) for a in args
+                        if isinstance(a, (Taylor, ScalarField))]
+            lifts[index] = out, tuple(own)
+        lifted[node], own = lifts[index]
+        guards += own
     return lifted[root], guards
 
 
@@ -809,24 +826,18 @@ def evaluate_points(root, coords_list):
     column of values, one per point: ``map`` of its op over the columns of
     its arguments (and the param and the coordinates, when it has a
     param), or its constant repeated.  A column is dropped after its last
-    reader.  Errors come in node order, not point order, so the first error
-    raised may not be the one ``evaluate`` meets at the first failing
-    point.
+    reader; the table of last readers is built once and kept on ``root``
+    beside its order.  Errors come in node order, not point order, so the
+    first error raised may not be the one ``evaluate`` meets at the first
+    failing point.
     """
-    if root._order is None:
-        root._order = _topological(root)
-    nodes = (*root._order, root)
-    last = {}
-    for j, node in enumerate(nodes):
-        for a in node.args:
-            last[a] = j
-    drops = [[] for _ in nodes]
-    for a, j in last.items():
-        drops[j].append(a)
+    if root._drops is None:
+        root._drops = _last_reads(root)
     n = len(coords_list)
     columns = {}
     column_of = columns.__getitem__
-    for node, dropped in zip(nodes, drops):
+    for node, dropped in zip(itertools.chain(root._order, (root,)),
+                             root._drops):
         if node.constant is not None:
             columns[node] = [node.constant] * n
         elif node.param is None:
@@ -839,14 +850,33 @@ def evaluate_points(root, coords_list):
     return columns[root]
 
 
+def _last_reads(root):
+    """For each node of ``root``, in ``evaluate``'s order, the arguments
+    whose last reader it is."""
+    if root._order is None:
+        root._order = _topological(root)
+    nodes = (*root._order, root)
+    last = {}
+    for j, node in enumerate(nodes):
+        for a in node.args:
+            last[a] = j
+    drops = [[] for _ in nodes]
+    for a, j in last.items():
+        drops[j].append(a)
+    return drops
+
+
 def calls_out(root):
     """Whether ``root`` reaches a node that runs code the graph cannot see
     into (an opaque leaf, a numeric layer, a pulled-back opaque node), whose
-    calls a caller can count."""
-    if root._order is None:
-        root._order = _topological(root)
-    return any(node.op in _OPAQUE_OPS
-               for node in itertools.chain(root._order, (root,)))
+    calls a caller can count.  The answer is kept on ``root``."""
+    if root._calls_out is None:
+        if root._order is None:
+            root._order = _topological(root)
+        root._calls_out = any(
+            node.op in _OPAQUE_OPS
+            for node in itertools.chain(root._order, (root,)))
+    return root._calls_out
 
 
 def pack(fields):

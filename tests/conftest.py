@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 import random
 import sys
@@ -20,6 +21,21 @@ def fixture_path(name):
     return str(FIXTURES / name)
 
 
+def load_module(path, name):
+    """The module of the file ``path``, run as ``name`` without writing
+    bytecode beside it, so that ``perfbench/`` stays as it is."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module   # dataclasses look their module up
+    written = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = written
+    return module
+
+
 def const(m, r, v):
     return ScalarField.const(m, r, v)
 
@@ -30,6 +46,35 @@ def layer_partial(field, index):
     coefficient: the reference that ``field.partial(index)`` must equal."""
     pair = jets._leaf(field, index, jets._layer_at)
     return jets.derived(jets._LAYER_COEF, (pair,))
+
+
+def reference_layer(root, index):
+    """``jets._layer`` as a walk that lifts every node it reaches again,
+    reading no lift kept on a node: the reference that the kept lifts and
+    guards must equal."""
+    lifted, guards = {}, []
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in lifted:
+            stack.pop()
+            continue
+        args = node.args if jets._in_layer(node) else ()
+        todo = [a for a in args if a.constant is None and a not in lifted]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        args = [a.constant if a.constant is not None else lifted[a]
+                for a in args]
+        out = lifted[node] = jets._lift(node, index, args)
+        if node.op in jets._KINKS and jets._coef(args[0]) is not None:
+            c = args[0].value
+            guards.append(jets.derived(jets._KINKS[node.op], (c, c)))
+        if not isinstance(out, (jets.Taylor, ScalarField)):
+            guards += [jets._value(a) for a in args
+                       if isinstance(a, (jets.Taylor, ScalarField))]
+    return lifted[root], guards
 
 
 def field_grid(strings, m, r):

@@ -3,7 +3,6 @@ built as graph nodes rather than numeric layers at each point."""
 
 import contextlib
 import gc
-import importlib.util
 import io
 import json
 import pathlib
@@ -12,6 +11,7 @@ import sys
 from algcalc import cli, jets, linalg, sampling
 from algcalc.exprlang import parse_field
 from algcalc.jets import ScalarField
+from conftest import load_module
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -21,22 +21,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 NUMERIC = {jets._layer_at, jets._pulled_back, jets._opaque}
 
 
-def load(path, name):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module   # dataclasses look their module up
-    written = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True   # leave perfbench/ as it is
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = written
-    return module
-
-
 def fixture_runs():
     """argv of every (fixture, command) run of tools/fixture_reports.py."""
-    tool = load(ROOT / "tools" / "fixture_reports.py", "fixture_reports")
+    tool = load_module(ROOT / "tools" / "fixture_reports.py", "fixture_reports")
     return [[*command, str(fixture)]
             for fixture in sorted((ROOT / "fixtures").glob("*.json"))
             for command in tool.COMMANDS]
@@ -45,7 +32,7 @@ def fixture_runs():
 def benchmark_runs(tmp_path, seed=5):
     """argv of every operation of one perfbench round at ``seed``, with its
     config written under ``tmp_path``."""
-    workloads = load(ROOT / "perfbench" / "workloads.py",
+    workloads = load_module(ROOT / "perfbench" / "workloads.py",
                      "perfbench_workloads")
     runs = []
     for name in workloads.BUILDERS:
