@@ -136,19 +136,24 @@ def _christoffel(A, g, ginv, d, L=None):
     0.5 * ginv^{ae} (d_c g_{eb} + d_b g_{ec} - d_e g_{bc}), summed over e.
     With structure functions ``L`` (the horizontal case, d = delta) the
     bracket also carries g_{te} L^t_{cb} - g_{bt} L^t_{ce} - g_{tc} L^t_{be},
-    summed over t."""
+    summed over t.  Each derivative d(k, g_ij) and each bracket [e][b][c]
+    is built once."""
     n = len(g)
+    dg = [[[d(k, g[i][j]) for j in range(n)] for i in range(n)]
+          for k in range(n)]
 
     def bracket(e, b, c):
-        term = d(c, g[e][b]) + d(b, g[e][c]) - d(e, g[b][c])
+        term = dg[c][e][b] + dg[b][e][c] - dg[e][b][c]
         if L is not None:
             for t in range(n):
                 term = term + g[t][e] * L[t][c][b] - g[b][t] * L[t][c][e] \
                     - g[t][c] * L[t][b][e]
         return term
 
+    brackets = [[[bracket(e, b, c) for c in range(n)] for b in range(n)]
+                for e in range(n)]
     sums = contract((n, n, n), (n,), lambda *_: A.zero_field(),
-                    lambda a, b, c, e: ginv[a][e] * bracket(e, b, c))
+                    lambda a, b, c, e: ginv[a][e] * brackets[e][b][c])
     return [[[f * 0.5 for f in row] for row in plane] for plane in sums]
 
 

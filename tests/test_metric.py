@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from algcalc import metric
+from algcalc.algebroid import contract
 from algcalc.dtensor import DConnection, berwald
 from algcalc.errors import ShapeError, SingularMetric
 from algcalc.exprlang import parse_field
-from algcalc.jets import Point
+from algcalc.jets import Point, leaves
 from algcalc.metric import (MetricStructure, base_deform, berwald_canonical,
                             canonical_dconnection, metrizability_residual,
                             obata_deform, obata_pair)
+from algcalc.nlconn import delta_action
 
 from conftest import (box_samples, const, identity_algebroid,
                       poincare_geometry, random_geometry, random_poly)
@@ -213,3 +216,47 @@ def test_base_deformation_fixes_arbitrary_base():
     report = metrizability_residual(D, G, box_samples(2, 2, 20, seed=32))
     assert report.passed
     assert max(c.value for c in report.checks) < 1e-12
+
+
+def christoffel_term_by_term(A, g, ginv, d, L=None):
+    """``metric._christoffel`` with the bracket and its derivatives built
+    again for every term of the sum over e, as the n^4 loop did."""
+    n = len(g)
+
+    def bracket(e, b, c):
+        term = d(c, g[e][b]) + d(b, g[e][c]) - d(e, g[b][c])
+        if L is not None:
+            for t in range(n):
+                term = term + g[t][e] * L[t][c][b] - g[b][t] * L[t][c][e] \
+                    - g[t][c] * L[t][b][e]
+        return term
+
+    sums = contract((n, n, n), (n,), lambda *_: A.zero_field(),
+                    lambda a, b, c, e: ginv[a][e] * bracket(e, b, c))
+    return [[[f * 0.5 for f in row] for row in plane] for plane in sums]
+
+
+def test_christoffel_blocks_are_the_nodes_of_the_term_by_term_sum():
+    A, C, G, _ = random_geometry(5)
+    m = A.m
+    cases = [
+        (G.gh, G.gh_inv(), lambda k, f: delta_action(C, k, f), A.L),
+        (G.gv, G.gv_inv(), lambda c, f: f.partial(m + c), None),
+    ]
+    for g, ginv, d, L in cases:
+        got = metric._christoffel(A, g, ginv, d, L)
+        want = christoffel_term_by_term(A, g, ginv, d, L)
+        assert all(a is b for a, b in zip(leaves(got), leaves(want)))
+        assert len(list(leaves(got))) == len(g) ** 3
+
+
+def test_christoffel_builds_each_derivative_once():
+    A, C, G, _ = random_geometry(6)
+    derivatives = []
+
+    def d(k, f):
+        derivatives.append((k, f))
+        return delta_action(C, k, f)
+
+    metric._christoffel(A, G.gh, G.gh_inv(), d, A.L)
+    assert len(derivatives) == A.p ** 3
