@@ -45,8 +45,10 @@ class SampleBox:
                 raise EmptyBox(f"invalid interval [{lo}, {hi}]")
 
 
-def _draw(seed, index, attempt, k, lo, hi):
-    rng = random.Random(f"{seed}:{index}:{attempt}:{k}")
+def _draw(rng, seed, index, attempt, k, lo, hi):
+    """Coordinate k of point ``index`` at ``attempt``: ``rng`` reseeded
+    with the key, which draws what a new ``Random`` of that key would."""
+    rng.seed(f"{seed}:{index}:{attempt}:{k}")
     return lo + (hi - lo) * rng.random()
 
 
@@ -68,11 +70,12 @@ def generate(box: SampleBox, count: int, seed: int,
         raise EmptyBox(
             f"no point of the fiber box reaches norm {fiber_floor}")
     points = []
+    rng = random.Random()
     for i in range(count):
         for attempt in range(_MAX_ATTEMPTS):
-            xs = tuple(_draw(seed, i, attempt, k, lo, hi)
+            xs = tuple(_draw(rng, seed, i, attempt, k, lo, hi)
                        for k, (lo, hi) in enumerate(box.x))
-            ys = tuple(_draw(seed, i, attempt, len(box.x) + k, lo, hi)
+            ys = tuple(_draw(rng, seed, i, attempt, len(box.x) + k, lo, hi)
                        for k, (lo, hi) in enumerate(box.y))
             if fiber_floor is None or not ys or \
                     math.sqrt(sum(v * v for v in ys)) >= fiber_floor:

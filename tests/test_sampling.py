@@ -1,5 +1,7 @@
 import gc
+import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -10,6 +12,7 @@ from algcalc.exprlang import parse_field
 from algcalc.jets import Point, ScalarField, evaluate
 from algcalc.sampling import (SampleBox, ValidationReport, fields_sweep_max,
                               generate, sweep, sweep_max)
+from conftest import count_calls
 
 
 def unit_box(m=2, r=2):
@@ -227,3 +230,55 @@ def test_sweep_peak_memory_does_not_grow_with_points():
             tracemalloc.stop()
 
     assert peak(pts) <= 1.5 * peak(pts[:128])
+
+
+def per_key_points(box, count, seed, fiber_floor):
+    """``generate`` as a new ``Random`` per coordinate key, and the number
+    of attempts the fiber floor rejected."""
+    def draw(i, attempt, k, lo, hi):
+        rng = random.Random(f"{seed}:{i}:{attempt}:{k}")
+        return lo + (hi - lo) * rng.random()
+
+    points, rejected = [], 0
+    for i in range(count):
+        for attempt in itertools.count():
+            xs = tuple(draw(i, attempt, k, lo, hi)
+                       for k, (lo, hi) in enumerate(box.x))
+            ys = tuple(draw(i, attempt, len(box.x) + k, lo, hi)
+                       for k, (lo, hi) in enumerate(box.y))
+            if fiber_floor is None or \
+                    math.sqrt(sum(v * v for v in ys)) >= fiber_floor:
+                points.append(Point(xs, ys))
+                break
+            rejected += 1
+    return points, rejected
+
+
+@pytest.mark.parametrize("floor, rejects", [(None, False), (0.8, True)])
+def test_one_reseeded_random_draws_the_per_key_stream(floor, rejects):
+    box = SampleBox(x=((-1.0, 2.0), (0.5, 0.75)), y=((-1.0, 1.0),) * 2)
+    want, rejected = per_key_points(box, 60, 13, floor)
+    assert (rejected > 0) == rejects
+    got = generate(box, 60, seed=13, fiber_floor=floor)
+    assert [p.coords() for p in got] == [p.coords() for p in want]
+
+
+def test_a_sweep_builds_its_block_tables_once(monkeypatch):
+    tables = count_calls(monkeypatch, jets, "_last_reads")
+    scanned = []
+
+    class Scanned(frozenset):
+        def __contains__(self, op):
+            scanned.append(op)
+            return frozenset.__contains__(self, op)
+
+    monkeypatch.setattr(jets, "_OPAQUE_OPS", Scanned(jets._OPAQUE_OPS))
+    fields = [parse_field("x1*y1 + sin(x1)", 1, 1),
+              parse_field("exp(y1) - x1^2", 1, 1)]
+    pts = generate(unit_box(1, 1), 3 * sampling.BLOCK + 5, seed=4,
+                   fiber_floor=None)
+    assert sweep([fields], pts) == reference_sweep([fields], pts)
+    # four blocks, one packed node: one table of last readers, and one scan
+    # of its nodes for an opaque one
+    nodes = len(jets._topological(jets.pack(fields))) + 1
+    assert len(tables) == 1 and len(scanned) == nodes
