@@ -6,8 +6,6 @@ import gc
 import operator
 import pathlib
 
-import pytest
-
 from algcalc import cli, jets, linalg
 from algcalc.exprlang import parse_field
 from algcalc.jets import ScalarField, Taylor
@@ -120,21 +118,9 @@ def test_each_node_is_lifted_once_per_coordinate(monkeypatch):
     assert randers_levi_civita_lifts(monkeypatch) == (663, 663)
 
 
-def test_a_walk_that_lifts_again_makes_more_than_twice_the_lifts(
+def test_a_walk_that_lifts_every_node_again_lifts_pairs_again(
         monkeypatch):
     monkeypatch.setattr(jets, "_layer", reference_layer)
     calls, pairs = randers_levi_civita_lifts(monkeypatch)
     assert (calls, pairs) == (1409, 663)
 
-
-@pytest.mark.parametrize("index", [0, 1])
-def test_partials_read_their_layer_from_the_kept_lifts(index):
-    f = parse_field("sqrt(x1^2 + y1^2)*exp(x1*y1)", 1, 1)
-    first = f.partial(index)
-    # the second partial walks the nodes of the first again
-    second = first.partial(index)
-    out, guards = reference_layer(first, index)
-    coef = jets._coef(out)
-    assert second is jets.derived(jets._then, (
-        *guards, jets._as_field(jets._value(out), first),
-        jets._as_field(0.0 if coef is None else coef, first)))

@@ -2,24 +2,16 @@
 its name, so renaming one cannot make ``--trace 1`` fail."""
 
 import importlib
-import importlib.util
 import pathlib
 
 import pytest
 
+from conftest import load_module
+
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" \
     / "tracing.py"
 
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tracing = load_tracing()
+tracing = load_module(TRACING, "perfbench_tracing")
 
 
 @pytest.mark.parametrize("name, module, path", tracing.TRACED)
