@@ -11,12 +11,11 @@ scalar fields over the m + r bundle coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
 
 from . import linalg
 from .errors import DimensionMismatch, ShapeError, SingularFrame
 from .jets import Point, ScalarField, leaves
+from .record import FrozenRecord
 from .sampling import ValidationReport, fields_sweep_max, sweep
 
 
@@ -70,8 +69,7 @@ def contract(shape, sums, start, term):
     return build(())
 
 
-@dataclass(frozen=True)
-class GeneralizedAlgebroid:
+class GeneralizedAlgebroid(FrozenRecord):
     """Local-coordinate data of an anchored structure over an m-dim base,
     with p-dim anchor bundle and r-dim fiber bundle."""
 
@@ -98,8 +96,7 @@ class GeneralizedAlgebroid:
         return ScalarField.const(self.m, self.r, float(value))
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(FrozenRecord):
     """A section with horizontal components ``z`` and vertical ``y``."""
 
     z: tuple
@@ -113,8 +110,8 @@ class Section:
         return self.z + self.y
 
 
-def constant_section(A: GeneralizedAlgebroid, z: Sequence[float],
-                     y: Sequence[float]) -> Section:
+def constant_section(A: GeneralizedAlgebroid, z: list[float],
+                     y: list[float]) -> Section:
     if len(z) != A.p or len(y) != A.r:
         raise DimensionMismatch("section components must have lengths (p, r)")
     return Section(tuple(A.const_field(v) for v in z),
@@ -164,7 +161,7 @@ def bracket(A: GeneralizedAlgebroid, X1: Section, X2: Section) -> Section:
     return Section(tuple(z), tuple(y))
 
 
-def validate_structure(A: GeneralizedAlgebroid, samples: Sequence[Point],
+def validate_structure(A: GeneralizedAlgebroid, samples: list[Point],
                        tol: float = 1e-8) -> ValidationReport:
     """Antisymmetry of L and anchor compatibility, as max residuals over
     the samples."""
@@ -187,7 +184,7 @@ def validate_structure(A: GeneralizedAlgebroid, samples: Sequence[Point],
     return report
 
 
-def jacobi_residual(A: GeneralizedAlgebroid, samples: Sequence[Point],
+def jacobi_residual(A: GeneralizedAlgebroid, samples: list[Point],
                     triple=None):
     """Max norm over samples of the cyclic bracket sum of ``triple``, or of
     every triple of constant basis sections, as (max, argmax point).
@@ -219,8 +216,7 @@ def jacobi_residual(A: GeneralizedAlgebroid, samples: Sequence[Point],
     return fields_sweep_max([u + v + w for u, v, w in cyclic], samples)
 
 
-@dataclass(frozen=True)
-class FrameDiffeoData:
+class FrameDiffeoData(FrozenRecord):
     """A moving frame on the base: ``theta[i][alpha]`` are the components of
     the alpha-th frame field, ``theta_inv[gamma][j]`` the dual coframe."""
 
@@ -237,7 +233,7 @@ class FrameDiffeoData:
         object.__setattr__(self, "theta", _freeze(self.theta))
         object.__setattr__(self, "theta_inv", _freeze(self.theta_inv))
 
-    def check_invertible(self, points: Sequence[Point], tol: float = 1e-8):
+    def check_invertible(self, points: list[Point], tol: float = 1e-8):
         """Verify theta_inv is the pointwise inverse of theta at ``points``:
         raise SingularFrame, naming the argmax point, unless the sweep max
         of |theta_inv @ theta - I| is at most ``tol`` (a NaN is not)."""

@@ -12,29 +12,20 @@ configuration or invocation was invalid.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Optional
 
-from . import dtensor, lagrange
 from .algebroid import (FrameDiffeoData, GeneralizedAlgebroid, from_frame,
                         jacobi_residual, validate_structure)
-from .dtensor import berwald, fiber_base
 from .errors import ConfigError, GeometryError, ShapeError
 from .exprlang import parse_field
 from .jets import Point, ScalarField, evaluate_grid, leaves
-from .lagrange import (FundamentalFunction, TorsionPair, build_gl_space,
-                       finsler_checks, hessian_metric, levi_civita_normal,
-                       recover_torsions, torsion_deform)
-from .metric import (MetricStructure, base_deform, berwald_canonical,
-                     metrizability_residual, obata_deform)
 from .nlconn import (FrameChange, NonlinearConnection, default_chart,
                      from_ehresmann, transform_chart, transform_gamma,
                      zero_connection)
+from .record import Record
 from .sampling import (DEFAULT_FIBER_FLOOR, SampleBox, ValidationReport,
                        generate, sweep)
 
@@ -87,8 +78,7 @@ def dump_report(report: dict) -> str:
 # -- configuration loading -------------------------------------------------
 
 
-@dataclass
-class Geometry:
+class Geometry(Record):
     """Everything a command may need, assembled from one configuration."""
 
     m: int
@@ -99,15 +89,15 @@ class Geometry:
     box: SampleBox
     count: int
     seed: int
-    fiber_floor: Optional[float]
+    fiber_floor: float | None
     tolerances: dict
     probes: list
-    frame: Optional[FrameDiffeoData] = None
-    metric: Optional[MetricStructure] = None  # or the GL metric, once built
-    fundamental: Optional[FundamentalFunction] = None
-    frame_change: Optional[FrameChange] = None
-    torsions: Optional[TorsionPair] = None
-    deform: Optional[dict] = None
+    frame: FrameDiffeoData | None = None
+    metric: MetricStructure | None = None  # or the GL metric, once built
+    fundamental: FundamentalFunction | None = None
+    frame_change: FrameChange | None = None
+    torsions: TorsionPair | None = None
+    deform: dict | None = None
 
     def tol(self, name):
         return float(self.tolerances.get(name,
@@ -380,6 +370,7 @@ def load_config(source) -> Geometry:
                         frame=frame, **settings)
     metric = _section(fields, "metric")
     if metric:
+        from .metric import MetricStructure
         try:
             geometry.metric = MetricStructure(A, gh=metric["h"],
                                               gv=metric["v"], **flags)
@@ -387,6 +378,7 @@ def load_config(source) -> Geometry:
             raise ConfigError(f"bad metric data: {err}") from err
     for key, kind in (("lagrangian", "lagrange"), ("finsler", "finsler")):
         if key in fields:
+            from .lagrange import FundamentalFunction
             geometry.fundamental = FundamentalFunction(A, fields[key], kind)
     change = _section(fields, "frame_change")
     if change:
@@ -397,6 +389,7 @@ def load_config(source) -> Geometry:
             basemap=change["basemap"], basemap_inv=change["basemap_inv"])
     torsions = _section(fields, "torsions")
     if torsions:
+        from .lagrange import TorsionPair
         geometry.torsions = TorsionPair(**torsions)
     geometry.deform = _section(fields, "deform") or None
     return geometry
@@ -407,6 +400,7 @@ def load_config(source) -> Geometry:
 
 def _require_metric(geometry: Geometry) -> MetricStructure:
     if geometry.metric is None and geometry.fundamental is not None:
+        from .lagrange import build_gl_space, hessian_metric
         geometry.metric = build_gl_space(
             geometry.connection, hessian_metric(geometry.fundamental))
     if geometry.metric is None:
@@ -420,24 +414,32 @@ def build_connection(geometry: Geometry, kind: str):
     A = geometry.algebroid
     C = geometry.connection
     if kind == "berwald":
+        from .dtensor import berwald
         return berwald(C)
     if kind == "canonical":
+        from .metric import berwald_canonical
         return berwald_canonical(_require_metric(geometry), C)
     if kind == "obata":
+        from .dtensor import zero_blocks
+        from .metric import obata_deform
         G = _require_metric(geometry)
         d = geometry.deform or {
-            "xh": dtensor.zero_blocks(A, A.p, A.p, A.p),
-            "yh": dtensor.zero_blocks(A, A.r, A.r, A.p),
-            "xv": dtensor.zero_blocks(A, A.p, A.p, A.r),
-            "yv": dtensor.zero_blocks(A, A.r, A.r, A.r)}
+            "xh": zero_blocks(A, A.p, A.p, A.p),
+            "yh": zero_blocks(A, A.r, A.r, A.p),
+            "xv": zero_blocks(A, A.p, A.p, A.r),
+            "yv": zero_blocks(A, A.r, A.r, A.r)}
         return obata_deform(G, C, d["xh"], d["yh"], d["xv"], d["yv"])
     if kind == "base-deform":
+        from .dtensor import fiber_base
+        from .metric import base_deform
         return base_deform(_require_metric(geometry), fiber_base(C))
     if kind == "levi-civita":
+        from .lagrange import levi_civita_normal
         return levi_civita_normal(C, _require_metric(geometry))
     if kind == "torsion-deform":
         if geometry.torsions is None:
             raise ConfigError("torsion-deform needs a 'torsions' entry")
+        from .lagrange import levi_civita_normal, torsion_deform
         G = _require_metric(geometry)
         return torsion_deform(levi_civita_normal(C, G), G,
                               geometry.torsions)
@@ -480,6 +482,7 @@ def cmd_check_structure(geometry: Geometry, options) -> ValidationReport:
 def cmd_metrizability(geometry: Geometry, options) -> ValidationReport:
     samples = geometry.samples
     tol = geometry.tol("metrizability")
+    from .metric import metrizability_residual
     G = _require_metric(geometry)
     connection = build_connection(geometry, "canonical")
     return metrizability_residual(connection, G, samples, tol)
@@ -488,6 +491,7 @@ def cmd_metrizability(geometry: Geometry, options) -> ValidationReport:
 def cmd_finsler_check(geometry: Geometry, options) -> ValidationReport:
     if geometry.fundamental is None or geometry.fundamental.kind != "finsler":
         raise ConfigError("finsler-check needs a 'finsler' entry")
+    from .lagrange import finsler_checks
     return finsler_checks(geometry.fundamental, geometry.samples,
                           geometry.tol("finsler"))
 
@@ -495,6 +499,7 @@ def cmd_finsler_check(geometry: Geometry, options) -> ValidationReport:
 def cmd_transform_check(geometry: Geometry, options) -> ValidationReport:
     if geometry.frame_change is None:
         raise ConfigError("transform-check needs a 'frame_change' entry")
+    from .dtensor import fiber_base, transform_dconnection
     samples = geometry.samples
     tol = geometry.tol("transform")
     F = geometry.frame_change
@@ -510,8 +515,8 @@ def cmd_transform_check(geometry: Geometry, options) -> ValidationReport:
                   for a in range(A.r) for g in range(A.p)]
 
     D = fiber_base(C)
-    primed_d = dtensor.transform_dconnection(D, F, chart0)
-    back_d = dtensor.transform_dconnection(primed_d, F.inverse(), chart1)
+    primed_d = transform_dconnection(D, F, chart0)
+    back_d = transform_dconnection(primed_d, F.inverse(), chart1)
     blocks = ("hh", "hv", "vh", "vv")
     d_trip = [got - given for got, given in zip(
         leaves([getattr(back_d, name) for name in blocks]),
@@ -525,7 +530,8 @@ def cmd_connection(geometry: Geometry, options):
     samples = geometry.samples
     connection = build_connection(geometry, options.kind)
     report = ValidationReport()
-    if isinstance(connection, lagrange.NormalDConnection):
+    if options.kind in ("levi-civita", "torsion-deform"):
+        # a normal d-connection: its two H-blocks and two V-blocks coincide
         blocks = [("h", connection.h), ("v", connection.v)]
     else:
         blocks = [("hh", connection.hh), ("hv", connection.hv),
@@ -533,6 +539,7 @@ def cmd_connection(geometry: Geometry, options):
     groups = [list(leaves(block)) for _, block in blocks]
     torsions = geometry.torsions if options.kind == "torsion-deform" else None
     if torsions is not None:
+        from .lagrange import recover_torsions
         recovered = recover_torsions(connection)
         groups.append([got - given for got, given in zip(
             leaves([recovered.t, recovered.s]),
@@ -571,6 +578,7 @@ COMMANDS = {
 @cache
 def _build_parser():
     """The argument parser, built once per process."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="algcalc",
         description="Checks and constructions for anchored-bundle geometry")

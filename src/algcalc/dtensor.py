@@ -14,28 +14,26 @@ derivative index is always the last lower index.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from .algebroid import GeneralizedAlgebroid, _check_grid, _freeze, contract
 from .errors import DimensionMismatch, IndexOutOfRange, ShapeError
 from .jets import ScalarField
 from .nlconn import ChartFrame, FrameChange, NonlinearConnection, \
     default_chart, delta_action
+from .record import FrozenRecord
 
 HORIZONTAL = "H"
 VERTICAL = "V"
 UP = "up"
 DOWN = "down"
 
-Slot = Tuple[str, str]
+Slot = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class IndexSignature:
+class IndexSignature(FrozenRecord):
     """Ordered slots of a d-tensor, e.g. ((H, up), (V, down))."""
 
-    slots: Tuple[Slot, ...]
+    slots: tuple[Slot, ...]
 
     def __post_init__(self):
         for family, variance in self.slots:
@@ -51,7 +49,7 @@ class IndexSignature:
         return tuple(p if family == HORIZONTAL else r
                      for family, _ in self.slots)
 
-    def extended(self, slot: Slot) -> "IndexSignature":
+    def extended(self, slot: Slot) -> IndexSignature:
         return IndexSignature(self.slots + (tuple(slot),))
 
 
@@ -112,8 +110,7 @@ def tensor_product(T1: DTensorField, T2: DTensorField) -> DTensorField:
     return DTensorField(T1.algebroid, sig, comps)
 
 
-@dataclass(frozen=True)
-class DConnection:
+class DConnection(FrozenRecord):
     """The four coefficient blocks of a linear d-connection."""
 
     nlconn: NonlinearConnection
@@ -236,7 +233,7 @@ def cov_deriv_along(D: DConnection, X, T: DTensorField) -> DTensorField:
 
 
 def transform_dconnection(D: DConnection, F: FrameChange,
-                          chart: Optional[ChartFrame] = None
+                          chart: ChartFrame | None = None
                           ) -> DConnection:
     """Coefficient blocks in the transformed frame, over the original
     coordinates.  The H-blocks pick up the horizontal derivative of the

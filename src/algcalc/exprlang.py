@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
-from typing import Tuple
 
 from . import jets
 from .errors import ArityError, ExprSyntaxError, UnknownIdentifier
 from .jets import ScalarField
+from .record import FrozenRecord
 
 FUNCTIONS = {
     "sin": (1, jets.t_sin),
@@ -42,40 +41,34 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 # -- syntax tree -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(FrozenRecord):
     value: float
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(FrozenRecord):
     name: str
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(FrozenRecord):
     """``index`` is the position in the combined (x..., y...) coordinate list."""
 
     name: str
     index: int
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Neg(FrozenRecord):
+    operand: Expr
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(FrozenRecord):
     op: str
-    left: "Expr"
-    right: "Expr"
+    left: Expr
+    right: Expr
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(FrozenRecord):
     name: str
-    args: Tuple["Expr", ...]
+    args: tuple[Expr, ...]
 
 
 Expr = Num | Const | Var | Neg | Bin | Call
@@ -238,7 +231,7 @@ class _Parser:
         return Call(name, tuple(node for node, _ in args)), height
 
 
-def parse(source: str, dims: Tuple[int, int]) -> Expr:
+def parse(source: str, dims: tuple[int, int]) -> Expr:
     """Parse ``source`` against dimensions ``(m, r)``.  Trees deeper than
     ``MAX_DEPTH`` are refused with an ExprSyntaxError at the offending
     offset."""

@@ -43,10 +43,9 @@ import itertools
 import math
 import operator
 import weakref
-from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, GeometryError, NonSmoothPoint
+from .record import FrozenRecord
 
 _TAG = itertools.count(1)
 
@@ -325,8 +324,7 @@ def _pow_int(base, n):
 # -- points and jets -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(FrozenRecord):
     """A point of the total space, base part ``x`` and fiber part ``y``."""
 
     x: tuple
@@ -343,8 +341,7 @@ class Point:
         return self.x + self.y
 
 
-@dataclass(frozen=True)
-class Jet:
+class Jet(FrozenRecord):
     """Partial derivatives of a scalar field at a point, up to ``order``.
 
     ``value`` is the value of the field.  ``second`` and ``third`` are fully
@@ -355,9 +352,9 @@ class Jet:
 
     order: int
     value: float
-    first: Optional[tuple] = None
-    second: Optional[tuple] = None
-    third: Optional[tuple] = None
+    first: tuple | None = None
+    second: tuple | None = None
+    third: tuple | None = None
 
 
 def _opaque(fn, coords):
@@ -751,7 +748,7 @@ def _pulled_back(spec, coords, *values):
 _OPAQUE_OPS = frozenset({_opaque, _layer_at, _pulled_back})
 
 
-def compose(outer: ScalarField, inner: Sequence[ScalarField]) -> ScalarField:
+def compose(outer: ScalarField, inner: list[ScalarField]) -> ScalarField:
     """The pullback ``outer(inner_0, ..., inner_{n-1})``: the nodes of
     ``outer`` built again over the fields ``inner``, one per coordinate of
     ``outer``, all over the same source coordinates.

@@ -9,8 +9,6 @@ recovered afterwards.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
 
 from . import linalg
 from .algebroid import GeneralizedAlgebroid, _check_grid, _freeze, contract
@@ -20,11 +18,11 @@ from .jets import Point, ScalarField, compose
 from .metric import MetricStructure, _absorb, \
     _koszul_christoffel, _vertical_christoffel
 from .nlconn import NonlinearConnection
+from .record import FrozenRecord
 from .sampling import ValidationReport, fields_sweep_max, sweep
 
 
-@dataclass(frozen=True)
-class FundamentalFunction:
+class FundamentalFunction(FrozenRecord):
     """An energy function on the bundle.  ``kind`` is 'lagrange' (the
     Hessian of the function itself is the metric) or 'finsler' (the Hessian
     of its square)."""
@@ -69,7 +67,7 @@ def _indefinite(block):
     return 0.0 if all(p > 0.0 for p in pivots) else 1.0
 
 
-def regularity_check(block, samples: Sequence[Point]) -> ValidationReport:
+def regularity_check(block, samples: list[Point]) -> ValidationReport:
     """Rank of the Hessian block at every sample; regular means full rank."""
     r = len(block)
     defect, arg = fields_sweep_max(
@@ -84,7 +82,7 @@ def regularity_check(block, samples: Sequence[Point]) -> ValidationReport:
 HOMOGENEITY_SCALES = (0.5, 2.0, 3.0)
 
 
-def finsler_checks(fund: FundamentalFunction, samples: Sequence[Point],
+def finsler_checks(fund: FundamentalFunction, samples: list[Point],
                    tol: float = 1e-8) -> ValidationReport:
     """Finsler conditions at the samples, from one sweep: homogeneity
     |F(x, s*y) - s*F(x, y)| for s in HOMOGENEITY_SCALES and the Euler
@@ -122,8 +120,7 @@ def build_gl_space(C: NonlinearConnection, block) -> MetricStructure:
     return MetricStructure(A, gh=block, gv=block)
 
 
-@dataclass(frozen=True)
-class NormalDConnection:
+class NormalDConnection(FrozenRecord):
     """A d-connection whose two H-blocks coincide and whose two V-blocks
     coincide (p = r)."""
 
@@ -162,8 +159,7 @@ def levi_civita_normal(C: NonlinearConnection,
     return NormalDConnection(C, h=h, v=v)
 
 
-@dataclass(frozen=True)
-class TorsionPair:
+class TorsionPair(FrozenRecord):
     """Prescribed torsion tensors ``t[a][b][c]`` (horizontal) and
     ``s[a][b][c]`` (vertical), antisymmetric in the lower pair."""
 

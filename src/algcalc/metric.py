@@ -10,9 +10,7 @@ pointwise by pivoted elimination, once per ``evaluate`` call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 from . import linalg
 from .algebroid import GeneralizedAlgebroid, _check_grid, _check_x_only, \
@@ -22,6 +20,7 @@ from .dtensor import DConnection, DTensorField, IndexSignature, DOWN, \
 from .errors import SingularMetric
 from .jets import Point, evaluate_grid, leaves
 from .nlconn import NonlinearConnection, delta_action
+from .record import FrozenRecord
 from .sampling import ValidationReport, sweep
 
 
@@ -42,8 +41,7 @@ def _inverse(block):
     return _symmetrize(linalg.field_matrix_inverse(block, exc=SingularMetric))
 
 
-@dataclass(frozen=True)
-class MetricStructure:
+class MetricStructure(FrozenRecord):
     """Horizontal and vertical metric blocks with Riemannian flags.
 
     A Riemannian flag asserts that the block depends on x only, and
@@ -117,7 +115,7 @@ class MetricStructure:
 
 
 def metrizability_residual(D: DConnection, G: MetricStructure,
-                           samples: Sequence[Point],
+                           samples: list[Point],
                            tol: float = 1e-8) -> ValidationReport:
     """The four covariant derivatives of the metric blocks, as max residuals
     over the samples.  All four vanish iff the connection is metrical."""
@@ -204,8 +202,7 @@ def berwald_canonical(G: MetricStructure,
     return canonical_dconnection(G, fiber_base(C))
 
 
-@dataclass(frozen=True)
-class ObataPair:
+class ObataPair(FrozenRecord):
     """Numeric Obata projector values at a point, for both families."""
 
     oh: tuple        # oh[alpha][eps][beta][gamma]

@@ -16,19 +16,17 @@ involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from . import linalg
 from .algebroid import GeneralizedAlgebroid, _check_grid, _check_x_only, \
     _freeze, contract
 from .errors import DimensionMismatch, IndexOutOfRange, SingularTransition
 from .jets import Point, ScalarField, compose, evaluate_grid, leaves
+from .record import FrozenRecord
 from .sampling import ValidationReport, sweep
 
 
-@dataclass(frozen=True)
-class NonlinearConnection:
+class NonlinearConnection(FrozenRecord):
     """Connection coefficients ``gamma[a][alpha]`` bound to their structure."""
 
     algebroid: GeneralizedAlgebroid
@@ -156,8 +154,7 @@ def from_adapted_covector(C: NonlinearConnection, point: Point, wh_ad, wv):
 # -- frame changes ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrameChange:
+class FrameChange(FrozenRecord):
     """Transition data, every entry a field over the original coordinates.
 
     ``lam[ap][a]`` and ``mmat[ap][a]`` are the horizontal and vertical
@@ -202,7 +199,7 @@ class FrameChange:
             lambda ap, a: self.mmat[ap][a]
             * ScalarField.coordinate(m, r, m + a))
 
-    def inverse(self) -> "FrameChange":
+    def inverse(self) -> FrameChange:
         """The reverse transition, still expressed over the original
         coordinates: matrices swap with their inverses, and the base map
         becomes the inverse map composed with the forward one."""
@@ -213,7 +210,7 @@ class FrameChange:
         return FrameChange(self.m, self.r, self.lam_inv, self.lam,
                            self.mmat_inv, self.mmat, back, fwd)
 
-    def check_consistency(self, points: Sequence[Point],
+    def check_consistency(self, points: list[Point],
                           tol: float = 1e-8) -> ValidationReport:
         """Mutual-inverse residuals of the matrices and of the base maps,
         from one sweep over ``points``."""
@@ -230,8 +227,7 @@ class FrameChange:
         return report
 
 
-@dataclass(frozen=True)
-class ChartFrame:
+class ChartFrame(FrozenRecord):
     """Derivative data of a (possibly transformed) coordinate frame.
 
     ``anchor[k][gamma]`` are the anchor components in this frame, ``ddx``
@@ -276,7 +272,7 @@ def transform_chart(chart: ChartFrame, F: FrameChange) -> ChartFrame:
 
 
 def transform_gamma(C: NonlinearConnection, F: FrameChange,
-                    chart: Optional[ChartFrame] = None) -> NonlinearConnection:
+                    chart: ChartFrame | None = None) -> NonlinearConnection:
     """Connection coefficients in the transformed frame, as fields over the
     original coordinates: the vertical matrix conjugation plus the derivative
     term of the inverse vertical matrix against the new fiber coordinates."""

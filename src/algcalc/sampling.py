@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
 
 from .errors import EmptyBox
 from .jets import Point, calls_out, evaluate, evaluate_points, pack
+from .record import FrozenRecord
 
 DEFAULT_FIBER_FLOOR = 1e-3
 _MAX_ATTEMPTS = 1000
@@ -28,12 +27,11 @@ BLOCK = 64
 MIN_BLOCK = 3
 
 
-@dataclass(frozen=True)
-class SampleBox:
+class SampleBox(FrozenRecord):
     """Axis-aligned box: one (lo, hi) interval per coordinate."""
 
-    x: Tuple[Tuple[float, float], ...]
-    y: Tuple[Tuple[float, float], ...]
+    x: tuple[tuple[float, float], ...]
+    y: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "x",
@@ -60,7 +58,7 @@ def _max_fiber_norm(box: SampleBox):
 
 
 def generate(box: SampleBox, count: int, seed: int,
-             fiber_floor: Optional[float] = DEFAULT_FIBER_FLOOR):
+             fiber_floor: float | None = DEFAULT_FIBER_FLOOR):
     """``count`` points in ``box``, excluding fibers closer to the zero
     section than ``fiber_floor`` (pass None to disable the exclusion)."""
     if count < 0:
@@ -87,13 +85,12 @@ def generate(box: SampleBox, count: int, seed: int,
     return points
 
 
-@dataclass(frozen=True)
-class ResidualCheck:
+class ResidualCheck(FrozenRecord):
     """One named residual: its max over the sweep, where, and pass/fail."""
 
     name: str
     value: float
-    argmax: Optional[Point]
+    argmax: Point | None
     tol: float
 
     @property
@@ -108,12 +105,12 @@ class ResidualCheck:
                 "pass": self.passed}
 
 
-@dataclass
 class ValidationReport:
     """Ordered collection of residual checks plus run metadata."""
 
-    checks: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    def __init__(self):
+        self.checks = []
+        self.metadata = {}
 
     def add(self, name, value, argmax, tol):
         self.checks.append(ResidualCheck(name, value, argmax, tol))
@@ -123,7 +120,7 @@ class ValidationReport:
         for name, (value, argmax) in zip(names, sweeps):
             self.add(name, value, argmax, tol)
 
-    def extend(self, other: "ValidationReport"):
+    def extend(self, other: ValidationReport):
         self.checks.extend(other.checks)
 
     def __getitem__(self, name):

@@ -1,10 +1,16 @@
 """Every name a module of the package imports is read somewhere in it,
-every parameter default of the package is overridden by some call in it,
-and every module of the repository parses as Python 3.10.
+every name an annotation of the package names is bound, every parameter
+default of the package is overridden by some call in it, every module of
+the repository parses as Python 3.10, and loading a config imports no
+module that the config does not use.
 
 The checks parse each module with the stdlib ``ast``: a name bound by an
 ``import`` must occur as a name the module loads (an annotation counts).
 ``__init__.py`` is exempt, since its imports are the package's re-exports.
+Every module has ``from __future__ import annotations``, so no annotation
+is evaluated, and one that names a name whose import was removed would
+go unseen: so each name an annotation loads must be a builtin or bound
+somewhere in its module (an import inside a function counts).
 A parameter with a default must be passed, by position or keyword, at some
 call in ``src/`` to a function of its name, or be listed in
 ``KEPT_DEFAULTS`` with the reason it stays.  pyproject.toml asks for
@@ -14,9 +20,17 @@ runs the check.
 """
 
 import ast
+import builtins
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import algcalc
+from algcalc.metric import MetricStructure
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "algcalc"
@@ -50,6 +64,136 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _annotations(tree):
+    """Every annotation in ``tree``; a string annotation as its parse."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign):
+            found.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            found += [arg.annotation for arg in
+                      args.posonlyargs + args.args + args.kwonlyargs +
+                      [args.vararg, args.kwarg]
+                      if arg is not None and arg.annotation is not None]
+            if node.returns is not None:
+                found.append(node.returns)
+    return [ast.parse(node.value, mode="eval") if
+            isinstance(node, ast.Constant) and isinstance(node.value, str)
+            else node for node in found]
+
+
+def unbound_annotation_names(source):
+    """Names that an annotation of ``source`` loads and that neither a
+    builtin nor anything in ``source`` binds, in order of appearance."""
+    tree = ast.parse(source)
+    bound = set(dir(builtins))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+    return [node.id for annotation in _annotations(tree)
+            for node in ast.walk(annotation)
+            if isinstance(node, ast.Name) and node.id not in bound]
+
+
+def test_the_check_sees_an_unbound_annotation_name():
+    source = ("from __future__ import annotations\n"
+              "def f(a: Optional[int], *b: list[Point], c: 'Tuple[K]'"
+              ") -> Sequence:\n"
+              "    from m import K\n"
+              "class Point:\n    x: float | None\n    y: Expr\n")
+    assert unbound_annotation_names(source) == ["Optional", "Tuple",
+                                                "Sequence", "Expr"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_annotation_name_is_bound(path):
+    assert unbound_annotation_names(path.read_text()) == []
+
+
+# Modules that loading a structure-only config must not import: the
+# record and annotation machinery of the standard library, the parser
+# that only ``main`` needs, and the layers that only other commands use.
+UNUSED_BY_A_STRUCTURE = ("dataclasses", "inspect", "typing", "argparse",
+                         "algcalc.metric", "algcalc.dtensor",
+                         "algcalc.lagrange")
+
+
+def modules_after(*statements):
+    """The set of ``sys.modules`` names after each of ``statements``, run in
+    turn by a fresh ``python -S`` from the repository root, importing the
+    package from ``src`` without bytecode.  ``-S`` keeps out the modules
+    that site's ``.pth`` files import."""
+    script = "import json, sys\n" + "".join(
+        f"{statement}\nprint(json.dumps(sorted(sys.modules)))\n"
+        for statement in statements)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", script], cwd=ROOT,
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout
+    return [set(json.loads(line)) for line in out.splitlines()]
+
+
+def test_loading_a_config_imports_only_the_layers_it_uses():
+    structure, finsler = modules_after(
+        "from algcalc import cli\n"
+        "cli.load_config('fixtures/frame_exp.json')",
+        "cli.load_config('fixtures/randers.json')")
+    assert "algcalc.cli" in structure
+    assert structure.isdisjoint(UNUSED_BY_A_STRUCTURE)
+    assert "algcalc.lagrange" in finsler
+    assert finsler.isdisjoint(UNUSED_BY_A_STRUCTURE[:4])
+
+
+def test_a_layer_name_of_the_package_imports_its_module_on_first_use():
+    bare, used = modules_after("import algcalc",
+                               "assert algcalc.MetricStructure.gh_inv")
+    assert bare.isdisjoint(UNUSED_BY_A_STRUCTURE)
+    assert {"algcalc.metric", "algcalc.dtensor"} <= used
+    assert "algcalc.lagrange" not in used
+
+
+# Every name that algcalc/__init__.py bound before the layers were
+# imported on first use.
+EXPORTED = """
+    ArityError ChartFrame ConfigError DConnection DTensorField
+    DimensionMismatch EmptyBox ExprSyntaxError FrameChange FrameDiffeoData
+    FundamentalFunction GeneralizedAlgebroid GeometryError IndexOutOfRange
+    IndexSignature Jet MetricStructure NonSmoothPoint NonlinearConnection
+    NormalDConnection ObataPair Point SampleBox ScalarField Section
+    ShapeError SingularFrame SingularMetric SingularTransition TorsionPair
+    UnknownIdentifier ValidationReport adapted_coframe_matrix
+    adapted_frame_matrix algebroid anchor_action base_deform
+    basis_sections berwald berwald_canonical bracket build_gl_space
+    canonical_dconnection compose constant_section cov_deriv_along
+    default_chart delta_action dtensor errors eval_jet exprlang fd_partial
+    finsler_checks from_adapted_covector from_adapted_vector from_ehresmann
+    from_frame generate h_cov_deriv hessian_metric jacobi_residual jets
+    lagrange levi_civita_normal linalg metric metrizability_residual
+    nlconn obata_deform obata_pair parse parse_field recover_torsions
+    regularity_check sampling scalar_tensor tensor_product to_adapted_covector
+    to_adapted_vector to_field to_source torsion_deform transform_chart
+    transform_dconnection transform_gamma v_cov_deriv validate_structure
+    zero_connection __version__
+""".split()
+
+
+def test_the_package_lists_and_resolves_every_name_it_exported():
+    assert set(EXPORTED) <= set(dir(algcalc))
+    for name in EXPORTED:
+        assert getattr(algcalc, name) is not None, name
+    assert algcalc.MetricStructure is MetricStructure
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        algcalc.nothing
 
 
 # Defaults that no call in the package overrides, and why each stays.
