@@ -42,9 +42,11 @@ FROZEN = [
 ]
 
 
-@pytest.mark.parametrize("build, name", FROZEN,
-                         ids=[f"{i}-{name}" for i, (_, name)
-                              in enumerate(FROZEN)])
+@pytest.mark.parametrize("build, name", FROZEN, ids=[
+    "Point", "Jet", "Num", "Const", "Var", "Neg", "Bin", "Call",
+    "GeneralizedAlgebroid", "NonlinearConnection", "MetricStructure",
+    "SampleBox", "ResidualCheck", "FundamentalFunction", "TorsionPair",
+    "ChartFrame"])
 def test_a_frozen_record_refuses_assignment(build, name):
     record = build()
     before = getattr(record, name)
