@@ -822,11 +822,14 @@ def evaluate_points(root, coords_list):
     The nodes are walked once, in ``evaluate``'s order, and each takes one
     column of values, one per point: ``map`` of its op over the columns of
     its arguments (and the param and the coordinates, when it has a
-    param), or its constant repeated.  A column is dropped after its last
-    reader; the table of last readers is built once and kept on ``root``
-    beside its order.  Errors come in node order, not point order, so the
-    first error raised may not be the one ``evaluate`` meets at the first
-    failing point.
+    param), or its constant repeated.  Two ops take a shorter way: a
+    coordinate reads its entry of each point, and ``_then`` takes the
+    column of its last argument as it is, since its other arguments
+    already have columns, and have raised if they raise.  A column is
+    dropped after its last reader; the table of last readers is built once
+    and kept on ``root`` beside its order.  Errors come in node order, not
+    point order, so the first error raised may not be the one ``evaluate``
+    meets at the first failing point.
     """
     if root._drops is None:
         root._drops = _last_reads(root)
@@ -837,6 +840,11 @@ def evaluate_points(root, coords_list):
                              root._drops):
         if node.constant is not None:
             columns[node] = [node.constant] * n
+        elif node.op is _then:
+            columns[node] = columns[node.args[-1]]
+        elif node.op is _coordinate:
+            columns[node] = list(map(operator.itemgetter(node.param),
+                                     coords_list))
         elif node.param is None:
             columns[node] = list(map(node.op, *map(column_of, node.args)))
         else:

@@ -201,6 +201,30 @@ def test_a_block_raises_the_error_the_point_order_meets():
         sweep([fields], pts)
 
 
+def test_a_block_whose_guard_raises_meets_the_point_order_error(
+        monkeypatch):
+    # the partial's guard, the kink check of abs, fails at x1 = 0 (point
+    # 1); ln fails at point 2 but comes first in node order, so the block
+    # raises the ln error and the point-by-point sweep the kink's
+    blocks = []
+
+    def recorded(root, coords):
+        try:
+            return jets.evaluate_points(root, coords)
+        except NonSmoothPoint as exc:
+            blocks.append(str(exc))
+            raise
+
+    monkeypatch.setattr(sampling, "evaluate_points", recorded)
+    pts = [Point((x,), (0.5,)) for x in (0.3, 0.0, -0.7, 0.9)]
+    guarded = parse_field("abs(x1)*y1", 1, 1).partial(0)
+    assert guarded.op is jets._then
+    with pytest.raises(NonSmoothPoint,
+                       match="abs is not differentiable at zero"):
+        sweep([[parse_field("ln(x1 + 0.5)", 1, 1), guarded]], pts)
+    assert blocks == ["ln of a non-positive argument"]
+
+
 def test_a_group_settled_in_a_block_is_not_evaluated_later_in_it():
     pts = [Point((x,), (0.5,)) for x in (0.9, -0.3, 0.2, 0.7)]
     nan_first = parse_field("x1*1e308*10 - x1*1e308*10", 1, 1)
