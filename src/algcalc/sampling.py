@@ -1,15 +1,19 @@
 """Deterministic sample generation and residual reports.
 
-Points are drawn per-index from a counter-based stream: coordinate k of
-point i at resampling attempt a is derived from the key ``seed:i:a:k``.
-The stream is stateless, so the same (seed, box) always yields the same
-list regardless of evaluation order.
+Points are drawn from a keyed counter-based stream (Salmon et al.,
+*Parallel random numbers: as easy as 1, 2, 3*, SC 2011): coordinate k of
+point i at resampling attempt a is a hash of (seed, i, a, k), built from
+the SplitMix64 mixer (Steele, Lea & Flood, *Fast splittable pseudorandom
+number generators*, OOPSLA 2014) in integer arithmetic alone.  The stream
+is stateless, so the same (seed, box) always yields the same list,
+whatever the evaluation order or the Python version.  These are not the
+points that earlier versions, which seeded a Mersenne Twister with the
+string ``seed:i:a:k``, drew for the same seed.
 """
 
 from __future__ import annotations
 
 import math
-import random
 
 from .errors import EmptyBox
 from .jets import Point, calls_out, evaluate, evaluate_points, pack
@@ -43,11 +47,38 @@ class SampleBox(FrozenRecord):
                 raise EmptyBox(f"invalid interval [{lo}, {hi}]")
 
 
-def _draw(rng, seed, index, attempt, k, lo, hi):
-    """Coordinate k of point ``index`` at ``attempt``: ``rng`` reseeded
-    with the key, which draws what a new ``Random`` of that key would."""
-    rng.seed(f"{seed}:{index}:{attempt}:{k}")
-    return lo + (hi - lo) * rng.random()
+_MASK = (1 << 64) - 1
+_UNIT = 2.0 ** -53   # a 53-bit integer times this is a float in [0, 1)
+
+
+def _mix(z):
+    """The SplitMix64 output at state ``z``: one golden-ratio step, then
+    the finaliser, as a 64-bit int."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _key(seed):
+    """``seed``, any int, folded into 64 bits: its sign, then each 64-bit
+    limb of its magnitude, lowest first."""
+    key = _mix(int(seed < 0))
+    magnitude = abs(seed)
+    while True:
+        key = _mix(key ^ (magnitude & _MASK))
+        magnitude >>= 64
+        if not magnitude:
+            return key
+
+
+def _draw(key, index, attempt, intervals):
+    """The coordinates of point ``index`` at ``attempt``, one in each of
+    ``intervals``: coordinate k is ``lo + (hi - lo) * u`` for the top 53
+    bits ``u`` of the hash of k under the key of the point and attempt."""
+    h = _mix(_mix(key ^ index) ^ attempt)
+    return [lo + (hi - lo) * ((_mix(h ^ k) >> 11) * _UNIT)
+            for k, (lo, hi) in enumerate(intervals)]
 
 
 def _max_fiber_norm(box: SampleBox):
@@ -68,13 +99,11 @@ def generate(box: SampleBox, count: int, seed: int,
         raise EmptyBox(
             f"no point of the fiber box reaches norm {fiber_floor}")
     points = []
-    rng = random.Random()
+    key, m, intervals = _key(seed), len(box.x), box.x + box.y
     for i in range(count):
         for attempt in range(_MAX_ATTEMPTS):
-            xs = tuple(_draw(rng, seed, i, attempt, k, lo, hi)
-                       for k, (lo, hi) in enumerate(box.x))
-            ys = tuple(_draw(rng, seed, i, attempt, len(box.x) + k, lo, hi)
-                       for k, (lo, hi) in enumerate(box.y))
+            coords = _draw(key, i, attempt, intervals)
+            xs, ys = tuple(coords[:m]), tuple(coords[m:])
             if fiber_floor is None or not ys or \
                     math.sqrt(sum(v * v for v in ys)) >= fiber_floor:
                 points.append(Point(xs, ys))

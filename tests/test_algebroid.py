@@ -9,7 +9,7 @@ from algcalc.algebroid import (FrameDiffeoData, GeneralizedAlgebroid,
                                validate_structure)
 from algcalc.errors import NonSmoothPoint, ShapeError
 from algcalc.exprlang import parse_field
-from algcalc.jets import Point, ScalarField
+from algcalc.jets import Point, ScalarField, evaluate, leaves
 
 from conftest import (box_samples, const, count_sweeps, field_grid,
                       identity_algebroid, so3_geometry)
@@ -217,20 +217,23 @@ def test_jacobi_of_a_non_lie_structure_is_nonzero():
 
 
 # Non-finite and non-smooth structure data must fail the Jacobi check with
-# NaN, or raise, at the point where they occur (m = p = 2, r = 1).
+# NaN, or raise, at the point where they occur (m = p = 2, r = 1).  The
+# x-dependent entries overflow wherever x1 is not 0, whatever the points.
 ZERO_L = [[["0", "0"], ["0", "0"]]] * 2
 X_L = [[["0", "x2"], ["-x2", "0"]], [["0", "x1"], ["-x1", "0"]]]
 
 
 @pytest.mark.parametrize("rho, L", [
-    ([["x1*1e308*10", "0"], ["0", "1"]], X_L),
+    ([["x1*1e308*1e308", "0"], ["0", "1"]], X_L),
     ([["1", "0"], ["0", "1"]],
-     [[["0", "x1*1e308*10"], ["-x1*1e308*10", "0"]], ZERO_L[1]]),
+     [[["0", "x1*1e308*1e308"], ["-x1*1e308*1e308", "0"]], ZERO_L[1]]),
     ([["1e308*10", "0"], ["0", "1"]], ZERO_L),
 ], ids=["x_anchor", "structure", "const_anchor"])
 def test_jacobi_is_nan_at_the_first_point_of_infinite_data(rho, L):
     A = structure(2, 2, 1, rho, L)
     pts = box_samples(2, 1, 3, seed=8)
+    data = evaluate(list(leaves([A.rho, A.L])), pts[0].coords())
+    assert any(map(math.isinf, data))
     value, arg = jacobi_residual(A, pts)
     assert math.isnan(value) and arg == pts[0]
 

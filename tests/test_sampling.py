@@ -1,7 +1,6 @@
 import gc
 import itertools
 import math
-import random
 import tracemalloc
 
 import pytest
@@ -256,35 +255,113 @@ def test_sweep_peak_memory_does_not_grow_with_points():
     assert peak(pts) <= 1.5 * peak(pts[:128])
 
 
-def per_key_points(box, count, seed, fiber_floor):
-    """``generate`` as a new ``Random`` per coordinate key, and the number
-    of attempts the fiber floor rejected."""
-    def draw(i, attempt, k, lo, hi):
-        rng = random.Random(f"{seed}:{i}:{attempt}:{k}")
-        return lo + (hi - lo) * rng.random()
+MIXED_BOX = SampleBox(x=((-1.0, 2.0), (0.5, 0.75)), y=((-1.0, 1.0),) * 2)
+
+
+def splitmix64(state):
+    """The SplitMix64 output at ``state``: the golden-ratio step, then the
+    finaliser, modulo 2**64."""
+    z = (state + 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
+
+def seed_key(seed):
+    """The sign of ``seed``, then each 64-bit limb of ``abs(seed)`` from
+    the lowest, folded through ``splitmix64``."""
+    key = splitmix64(1 if seed < 0 else 0)
+    limbs = [abs(seed) % 2**64]
+    rest = abs(seed) // 2**64
+    while rest:
+        limbs.append(rest % 2**64)
+        rest //= 2**64
+    for limb in limbs:
+        key = splitmix64(key ^ limb)
+    return key
+
+
+def keyed_points(box, count, seed, fiber_floor):
+    """``generate`` written out from the keyed stream, and the number of
+    attempts the fiber floor rejected."""
+    key = seed_key(seed)
+    intervals = box.x + box.y
+
+    def draw(i, attempt):
+        h = splitmix64(splitmix64(key ^ i) ^ attempt)
+        return [lo + (hi - lo) * (splitmix64(h ^ k) // 2**11 / 2**53)
+                for k, (lo, hi) in enumerate(intervals)]
 
     points, rejected = [], 0
     for i in range(count):
         for attempt in itertools.count():
-            xs = tuple(draw(i, attempt, k, lo, hi)
-                       for k, (lo, hi) in enumerate(box.x))
-            ys = tuple(draw(i, attempt, len(box.x) + k, lo, hi)
-                       for k, (lo, hi) in enumerate(box.y))
+            coords = draw(i, attempt)
+            xs, ys = coords[:len(box.x)], coords[len(box.x):]
             if fiber_floor is None or \
                     math.sqrt(sum(v * v for v in ys)) >= fiber_floor:
-                points.append(Point(xs, ys))
+                points.append(Point(tuple(xs), tuple(ys)))
                 break
             rejected += 1
     return points, rejected
 
 
 @pytest.mark.parametrize("floor, rejects", [(None, False), (0.8, True)])
-def test_one_reseeded_random_draws_the_per_key_stream(floor, rejects):
-    box = SampleBox(x=((-1.0, 2.0), (0.5, 0.75)), y=((-1.0, 1.0),) * 2)
-    want, rejected = per_key_points(box, 60, 13, floor)
+def test_generate_draws_the_keyed_stream(floor, rejects):
+    want, rejected = keyed_points(MIXED_BOX, 60, 13, floor)
     assert (rejected > 0) == rejects
-    got = generate(box, 60, seed=13, fiber_floor=floor)
+    got = generate(MIXED_BOX, 60, seed=13, fiber_floor=floor)
     assert [p.coords() for p in got] == [p.coords() for p in want]
+
+
+def test_the_first_points_do_not_depend_on_count_under_a_floor():
+    full = generate(MIXED_BOX, 60, seed=13, fiber_floor=0.8)
+    for count in (0, 1, 17, 59):
+        assert generate(MIXED_BOX, count, seed=13, fiber_floor=0.8) == \
+            full[:count]
+
+
+def test_a_rejected_attempt_moves_no_other_point():
+    free = generate(MIXED_BOX, 60, seed=13, fiber_floor=None)
+    floored = generate(MIXED_BOX, 60, seed=13, fiber_floor=0.8)
+    kept = [math.hypot(*p.y) >= 0.8 for p in free]
+    assert 0 < kept.count(False) < len(kept) - 1
+    for i, (a, b) in enumerate(zip(free, floored)):
+        # a point whose first attempt passes is that attempt, even after
+        # points whose first attempts were rejected
+        assert (a == b) == kept[i]
+
+
+# The first three points of seed 13 on MIXED_BOX, the same on every Python.
+GOLDEN_SEED_13 = [
+    ["-0x1.708851d093565p-1", "0x1.714389ae073c6p-1",
+     "0x1.5f6e023057080p-3", "-0x1.77ee5be37c9a0p-2"],
+    ["-0x1.677397907b13cp-3", "0x1.47a9b70336242p-1",
+     "-0x1.4e5cabd6f102cp-1", "0x1.15d688e88aed0p-1"],
+    ["0x1.89da5f141e7a4p+0", "0x1.14f1a303fa4f4p-1",
+     "0x1.7706a708b117ap-1", "-0x1.e101e75afecf8p-2"],
+]
+
+
+def test_the_first_points_of_seed_13_are_pinned():
+    got = [[v.hex() for v in p.coords()]
+           for p in generate(MIXED_BOX, 3, seed=13)]
+    assert got == GOLDEN_SEED_13
+
+
+def test_seeds_that_share_a_limb_or_a_magnitude_draw_apart():
+    seeds = (0, 1, -1, 2**64, 2**64 + 1, -2**64)
+    firsts = {generate(MIXED_BOX, 1, seed=s)[0] for s in seeds}
+    assert len(firsts) == len(seeds)
+
+
+def test_draws_spread_evenly_over_sixteen_bins():
+    box = SampleBox(x=((0.0, 1.0),) * 2, y=((0.0, 1.0),) * 2)
+    bins = [0] * 16
+    for p in generate(box, 5000, seed=29, fiber_floor=None):
+        for v in p.coords():
+            bins[int(v * 16)] += 1
+    assert sum(bins) == 20000
+    assert all(1125 <= n <= 1375 for n in bins), bins
 
 
 def test_a_sweep_builds_its_block_tables_once(monkeypatch):
