@@ -24,33 +24,40 @@ import pytest
 from algcalc import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-TOOL = ROOT / "tools" / "fixture_reports.py"
 TABLE = pathlib.Path(__file__).resolve().parent / "fixture_digests.json"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("fixture_reports", TOOL)
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tool = load_tool()
+tool = load_tool("fixture_reports")
+checker = load_tool("check_fixture_digests")
 
 RUNS = [(fixture.stem, command)
         for fixture in sorted((ROOT / "fixtures").glob("*.json"))
         for command in tool.COMMANDS]
 
 
-def digest_run(fixture, command):
-    """{"stdout", "stderr": SHA-256 hex, "exit": code} of one run; the
-    working directory must be the repository root."""
+def output_run(fixture, command):
+    """(stdout bytes, stderr bytes, exit code) of one run; the working
+    directory must be the repository root."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([*command, f"fixtures/{fixture}.json"])
-    return {"stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-            "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
-            "exit": code}
+    return out.getvalue().encode(), err.getvalue().encode(), code
+
+
+def digest_run(fixture, command):
+    """{"stdout", "stderr": SHA-256 hex, "exit": code} of one run; the
+    working directory must be the repository root."""
+    out, err, code = output_run(fixture, command)
+    return {"stdout": hashlib.sha256(out).hexdigest(),
+            "stderr": hashlib.sha256(err).hexdigest(), "exit": code}
 
 
 def run_key(fixture, command):
@@ -69,6 +76,24 @@ def test_run_matches_recorded_digest(fixture, command, monkeypatch):
     monkeypatch.chdir(ROOT)
     want = json.loads(TABLE.read_text())[run_key(fixture, command)]
     assert digest_run(fixture, command) == want
+
+
+def test_the_checker_names_a_missing_or_changed_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    fixture, command = "degenerate", ["connection", "base-deform"]
+    key = run_key(fixture, command)
+    table = {key: json.loads(TABLE.read_text())[key]}
+    out, err, code = output_run(fixture, command)
+    assert err and code == 2
+    stem = tmp_path / fixture / "connection-base-deform"
+    assert checker.unlike(tmp_path, table) == [key]
+    stem.parent.mkdir()
+    stem.with_suffix(".stdout").write_bytes(out)
+    stem.with_suffix(".stderr").write_bytes(err)
+    stem.with_suffix(".exit").write_text(f"{code}\n")
+    assert checker.unlike(tmp_path, table) == []
+    stem.with_suffix(".stderr").write_bytes(err + b" ")
+    assert checker.unlike(tmp_path, table) == [key]
 
 
 if __name__ == "__main__":

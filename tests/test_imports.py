@@ -1,8 +1,9 @@
 """Every name a module of the package imports is read somewhere in it,
 every name an annotation of the package names is bound, every parameter
 default of the package is overridden by some call in it, every module of
-the repository parses as Python 3.10, and loading a config imports no
-module that the config does not use.
+the repository parses as Python 3.10, loading a config imports no module
+that the config does not use, and drawing its sample points imports no
+hash or random module.
 
 The checks parse each module with the stdlib ``ast``: a name bound by an
 ``import`` must occur as a name the module loads (an annotation counts).
@@ -152,6 +153,20 @@ def test_loading_a_config_imports_only_the_layers_it_uses():
     assert structure.isdisjoint(UNUSED_BY_A_STRUCTURE)
     assert "algcalc.lagrange" in finsler
     assert finsler.isdisjoint(UNUSED_BY_A_STRUCTURE[:4])
+
+
+# Modules that drawing the sample points must not import: the stream is
+# integer arithmetic, and hashlib loads OpenSSL, which costs memory.
+UNUSED_BY_SAMPLING = ("hashlib", "_hashlib", "random")
+
+
+def test_drawing_the_samples_imports_no_hash_or_random_module():
+    structure, finsler = modules_after(
+        "from algcalc import cli\n"
+        "assert cli.load_config('fixtures/frame_exp.json').samples",
+        "assert cli.load_config('fixtures/randers.json').samples")
+    assert structure.isdisjoint(UNUSED_BY_SAMPLING)
+    assert finsler.isdisjoint(UNUSED_BY_SAMPLING)
 
 
 def test_a_layer_name_of_the_package_imports_its_module_on_first_use():

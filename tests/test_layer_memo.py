@@ -2,15 +2,18 @@
 per coordinate while it lives, and what a node keeps of its lift is what a
 walk that lifts every node again gives."""
 
-import gc
+import inspect
+import json
 import operator
+import os
 import pathlib
+import subprocess
+import sys
 
-from algcalc import cli, jets, linalg
+from algcalc import jets, linalg
 from algcalc.exprlang import parse_field
 from algcalc.jets import ScalarField, Taylor
-from algcalc.lagrange import levi_civita_normal
-from conftest import count_calls, load_module, reference_layer
+from conftest import load_module, reference_layer
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -98,29 +101,56 @@ def test_a_kept_raise_node_is_reused():
     assert same(want[0], raising[0])
 
 
-def randers_levi_civita_lifts(monkeypatch, seed=37):
+# Builds ``levi_civita_normal`` of the config read from stdin, counting
+# ``_lift`` calls, and prints the calls and the distinct (node, coordinate)
+# pairs among them.  ``{reference}`` may replace ``jets._layer``.
+COUNT_LIFTS = """
+import json, sys
+from algcalc import cli, jets
+from algcalc.jets import ScalarField
+from algcalc.lagrange import levi_civita_normal
+{reference}
+calls = []
+lift = jets._lift
+
+def counted(node, index, args):
+    calls.append((node, index))
+    return lift(node, index, args)
+
+jets._lift = counted
+geometry = cli.load_config(json.load(sys.stdin))
+levi_civita_normal(geometry.connection, cli._require_metric(geometry))
+# the calls hold their nodes, so no id is reused among them
+print(len(calls), len({{(id(node), index) for node, index in calls}}))
+"""
+
+
+def randers_levi_civita_lifts(reference="", seed=37):
     """(``_lift`` calls, distinct (node, coordinate) pairs among them) in
-    building ``levi_civita_normal`` of the finsler-nested Randers config."""
+    building ``levi_civita_normal`` of the finsler-nested Randers config.
+
+    The build runs in a fresh ``python -S``, as in test_imports.py: in
+    this process, a node that an earlier test keeps alive would hold its
+    lifts, and the build would not lift it again."""
     workloads = load_module(ROOT / "perfbench" / "workloads.py",
                             "perfbench_workloads")
     config = workloads.build("finsler-nested", seed).configs["randers"]
-    gc.collect()
-    calls = count_calls(monkeypatch, jets, "_lift")
-    geometry = cli.load_config(config)
-    levi_civita_normal(geometry.connection, cli._require_metric(geometry))
-    # the calls hold their nodes, so no id is reused among them
-    pairs = {(id(node), index) for node, index, _ in calls}
-    monkeypatch.undo()
-    return len(calls), len(pairs)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         COUNT_LIFTS.format(reference=reference)],
+        input=json.dumps(config), cwd=ROOT, env=env, capture_output=True,
+        text=True, check=True).stdout
+    return tuple(map(int, out.split()))
 
 
-def test_each_node_is_lifted_once_per_coordinate(monkeypatch):
-    assert randers_levi_civita_lifts(monkeypatch) == (663, 663)
+def test_each_node_is_lifted_once_per_coordinate():
+    assert randers_levi_civita_lifts() == (663, 663)
 
 
-def test_a_walk_that_lifts_every_node_again_lifts_pairs_again(
-        monkeypatch):
-    monkeypatch.setattr(jets, "_layer", reference_layer)
-    calls, pairs = randers_levi_civita_lifts(monkeypatch)
-    assert (calls, pairs) == (1409, 663)
+def test_a_walk_that_lifts_every_node_again_lifts_pairs_again():
+    reference = (inspect.getsource(reference_layer) +
+                 "jets._layer = reference_layer\n")
+    assert randers_levi_civita_lifts(reference) == (1409, 663)
 

@@ -18,6 +18,10 @@ def unit_box(m=2, r=2):
     return SampleBox(x=((-1.0, 1.0),) * m, y=((-1.0, 1.0),) * r)
 
 
+# two base and two fiber coordinates of unequal widths
+MIXED_BOX = SampleBox(x=((-1.0, 2.0), (0.5, 0.75)), y=((-1.0, 1.0),) * 2)
+
+
 def test_generation_is_deterministic():
     box = unit_box()
     a = generate(box, 20, seed=42)
@@ -36,9 +40,14 @@ def test_points_respect_the_box():
 
 
 def test_prefix_stability():
-    # the first k points do not depend on the requested count
+    # the first k points do not depend on the requested count, even where
+    # the fiber floor rejects attempts
     box = unit_box()
     assert generate(box, 30, seed=7)[:10] == generate(box, 10, seed=7)
+    full = generate(MIXED_BOX, 60, seed=13, fiber_floor=0.8)
+    for count in (0, 1, 17, 59):
+        assert generate(MIXED_BOX, count, seed=13, fiber_floor=0.8) == \
+            full[:count]
 
 
 def test_fiber_floor_excludes_zero_section():
@@ -255,9 +264,6 @@ def test_sweep_peak_memory_does_not_grow_with_points():
     assert peak(pts) <= 1.5 * peak(pts[:128])
 
 
-MIXED_BOX = SampleBox(x=((-1.0, 2.0), (0.5, 0.75)), y=((-1.0, 1.0),) * 2)
-
-
 def splitmix64(state):
     """The SplitMix64 output at ``state``: the golden-ratio step, then the
     finaliser, modulo 2**64."""
@@ -313,17 +319,10 @@ def test_generate_draws_the_keyed_stream(floor, rejects):
     assert [p.coords() for p in got] == [p.coords() for p in want]
 
 
-def test_the_first_points_do_not_depend_on_count_under_a_floor():
-    full = generate(MIXED_BOX, 60, seed=13, fiber_floor=0.8)
-    for count in (0, 1, 17, 59):
-        assert generate(MIXED_BOX, count, seed=13, fiber_floor=0.8) == \
-            full[:count]
-
-
 def test_a_rejected_attempt_moves_no_other_point():
     free = generate(MIXED_BOX, 60, seed=13, fiber_floor=None)
     floored = generate(MIXED_BOX, 60, seed=13, fiber_floor=0.8)
-    kept = [math.hypot(*p.y) >= 0.8 for p in free]
+    kept = [math.sqrt(sum(v * v for v in p.y)) >= 0.8 for p in free]
     assert 0 < kept.count(False) < len(kept) - 1
     for i, (a, b) in enumerate(zip(free, floored)):
         # a point whose first attempt passes is that attempt, even after
