@@ -128,6 +128,11 @@ UNUSED_BY_A_STRUCTURE = ("dataclasses", "inspect", "typing", "argparse",
                          "algcalc.lagrange")
 
 
+# Modules that drawing the sample points must not import: the stream is
+# integer arithmetic, and hashlib loads OpenSSL, which costs memory.
+UNUSED_BY_SAMPLING = ("hashlib", "_hashlib", "random")
+
+
 def modules_after(*statements):
     """The set of ``sys.modules`` names after each of ``statements``, run in
     turn by a fresh ``python -S`` from the repository root, importing the
@@ -147,26 +152,12 @@ def modules_after(*statements):
 def test_loading_a_config_imports_only_the_layers_it_uses():
     structure, finsler = modules_after(
         "from algcalc import cli\n"
-        "cli.load_config('fixtures/frame_exp.json')",
-        "cli.load_config('fixtures/randers.json')")
-    assert "algcalc.cli" in structure
-    assert structure.isdisjoint(UNUSED_BY_A_STRUCTURE)
-    assert "algcalc.lagrange" in finsler
-    assert finsler.isdisjoint(UNUSED_BY_A_STRUCTURE[:4])
-
-
-# Modules that drawing the sample points must not import: the stream is
-# integer arithmetic, and hashlib loads OpenSSL, which costs memory.
-UNUSED_BY_SAMPLING = ("hashlib", "_hashlib", "random")
-
-
-def test_drawing_the_samples_imports_no_hash_or_random_module():
-    structure, finsler = modules_after(
-        "from algcalc import cli\n"
         "assert cli.load_config('fixtures/frame_exp.json').samples",
         "assert cli.load_config('fixtures/randers.json').samples")
-    assert structure.isdisjoint(UNUSED_BY_SAMPLING)
-    assert finsler.isdisjoint(UNUSED_BY_SAMPLING)
+    assert "algcalc.cli" in structure
+    assert structure.isdisjoint(UNUSED_BY_A_STRUCTURE + UNUSED_BY_SAMPLING)
+    assert "algcalc.lagrange" in finsler
+    assert finsler.isdisjoint(UNUSED_BY_A_STRUCTURE[:4] + UNUSED_BY_SAMPLING)
 
 
 def test_a_layer_name_of_the_package_imports_its_module_on_first_use():
